@@ -1,11 +1,15 @@
-# Development targets. `make check` is the default verify flow:
-# build + vet + lint + full tests + race pass over the concurrent packages.
+# Development targets. `make check` is the default verify flow, defined
+# once in scripts/check.sh: build + vet + lint + full tests + race pass over
+# the concurrent packages + coverage, allocation and trace gates.
+# Benchmarking lives in perfbench/ (`bash perfbench/run.sh`, see
+# perfbench/README.md).
 
 GO ?= go
 
-.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke online-smoke bench bench-serve
+.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke online-smoke
 
-check: build vet lint test race cover
+check:
+	./scripts/check.sh
 
 build:
 	$(GO) build ./...
@@ -23,16 +27,10 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race pass over every package that runs goroutines: the serving stack, the
-# inference substrate it shares models with, and the simulation/workload/
-# experiment layers. The experiments package runs with -short so the race
-# detector's ~20x slowdown doesn't blow the test timeout on the full
-# oracle+training pipeline; its artifact and concurrency tests still run.
+# Race pass over every package that runs goroutines (the package list
+# lives in scripts/check.sh).
 race:
-	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
-		./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/... \
-		./internal/conformance/...
-	$(GO) test -race -short ./internal/experiments/...
+	./scripts/check.sh race
 
 # Coverage gate: statement coverage of the serving, simulation, telemetry
 # and testkit packages must not drop below scripts/coverage_baseline.txt.
@@ -70,13 +68,3 @@ cluster-smoke:
 # docs/ONLINE.md.
 online-smoke:
 	./scripts/check.sh online-smoke
-
-# Measure the experiment executor's parallel speedup (sequential vs -j N
-# wall-clock over the multi-cell figures) into BENCH_experiments.json.
-bench:
-	$(GO) run ./scripts/benchexp -out BENCH_experiments.json
-
-# Measure the serving stack's horizontal scaling (1 vs 4 device-paced
-# replicas behind the router, closed-loop /v1/infer) into BENCH_serve.json.
-bench-serve:
-	$(GO) run ./scripts/benchserve -out BENCH_serve.json

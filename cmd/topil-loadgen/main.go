@@ -2,7 +2,7 @@
 // router with synthetic /v1/infer traffic and prints a machine-readable
 // report. It is the measurement half of the serving stack: the cluster
 // claims throughput, shedding and failover properties, and this harness
-// is how they are checked (make bench-serve, scripts/check.sh smoke).
+// is how they are checked (scripts/check.sh cluster-smoke).
 //
 //	topil-loadgen -url http://localhost:8080 -model model-1 -dim 21 \
 //	    -qps 500 -duration 30s -shape burst > report.json

@@ -21,7 +21,7 @@ func Observe(tr *telemetry.Tracer, h *telemetry.Histogram, start time.Time) {
 
 // Register exercises the metric-name check on every constructor form.
 func Register(r *telemetry.Registry) {
-	r.Counter("daemon-requests", "bad: dashes") // want "does not match the Prometheus charset"
+	r.Counter("daemon-requests", "bad: dashes")  // want "does not match the Prometheus charset"
 	r.Counter("2nd_total", "bad: leading digit") // want "does not match the Prometheus charset"
 	r.Counter("daemon_requests_total", "fine")
 	r.Histogram("daemon:latency_seconds", "fine (colons allowed)", nil)

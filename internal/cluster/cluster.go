@@ -25,9 +25,10 @@
 //     machine loss (journal frozen mid-write, sockets slammed shut).
 //
 //   - RunLoad: the open/closed-loop load generator behind topil-loadgen
-//     and make bench-serve; it drives the router at a configured arrival
-//     rate (constant, bursty or diurnal), honors Retry-After in
-//     closed-loop mode, and reports latency quantiles machine-readably.
+//     and scripts/check.sh cluster-smoke; it drives the router at a
+//     configured arrival rate (constant, bursty or diurnal), honors
+//     Retry-After in closed-loop mode, and reports latency quantiles
+//     machine-readably.
 //
 // The router holds no job state: every durable fact lives in a replica's
 // journal. Killing the router loses nothing; killing a replica loses only

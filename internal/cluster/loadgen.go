@@ -129,7 +129,7 @@ type LatencySummary struct {
 }
 
 // LoadReport is RunLoad's machine-readable outcome (topil-loadgen prints
-// it as JSON; scripts/benchserve aggregates it into BENCH_serve.json).
+// it as JSON).
 type LoadReport struct {
 	Mode        string  `json:"mode"`
 	Shape       string  `json:"shape"`

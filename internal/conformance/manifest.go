@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/governor"
 	"repro/internal/workload"
 )
 
@@ -46,10 +47,6 @@ type Scenario struct {
 	Fan *bool `json:"fan,omitempty"`
 	// AmbientC is the ambient temperature in °C (default 25).
 	AmbientC float64 `json:"ambientC,omitempty"`
-	// ThermalKernel selects the integration kernel: "" or "propagator"
-	// (the default precomputed kernel), "float32" (the reduced-precision
-	// variant), or "reference" (the naive Euler stepper).
-	ThermalKernel string `json:"thermalKernel,omitempty"`
 
 	// Seed drives workload generation and simulator noise (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -107,9 +104,10 @@ type Package struct {
 // File returns the package's manifest path.
 func (p *Package) File() string { return filepath.Join(p.Dir, "manifest.json") }
 
-// TechniqueNames lists the policies a scenario may run.
+// TechniqueNames lists the policies a scenario may run: the two learned
+// techniques plus every named GTS baseline.
 func TechniqueNames() []string {
-	return []string{"TOP-IL", "TOP-RL", "GTS/ondemand", "GTS/powersave", "GTS/performance"}
+	return append([]string{"TOP-IL", "TOP-RL"}, governor.GTSNames()...)
 }
 
 // BackendNames lists the inference backends a scenario may select: the
@@ -135,11 +133,6 @@ var metricDoc = map[string]string{
 	"energyJ":       "total energy over the run, J",
 	"migrations":    "application migrations",
 	"throttleSec":   "seconds with DTM throttling active",
-}
-
-// kernelNames are the accepted thermalKernel spellings.
-var kernelNames = map[string]bool{
-	"": true, "propagator": true, "float32": true, "reference": true,
 }
 
 // fan reports the scenario's cooling setting with its default applied.
@@ -324,9 +317,6 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 		seen[sc.Name] = true
 		if sc.DurationSec <= 0 || sc.DurationSec > 24*3600 {
 			add(path, "durationSec %g out of range (0, 86400]", sc.DurationSec)
-		}
-		if !kernelNames[sc.ThermalKernel] {
-			add(path, "unknown thermalKernel %q (\"\", propagator, float32, reference)", sc.ThermalKernel)
 		}
 		if sc.AmbientC < -50 || sc.AmbientC > 100 {
 			add(path, "ambientC %g implausible", sc.AmbientC)

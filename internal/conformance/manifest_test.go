@@ -112,10 +112,12 @@ func TestParseManifestNegativePaths(t *testing.T) {
 			want: []string{"scenarios[0]", "durationSec -3 out of range"},
 		},
 		{
+			// There is no kernel choice: a manifest naming one must fail
+			// strict decoding rather than silently run the default.
 			name: "bad-kernel",
 			old:  `"durationSec": 10,`,
-			doc:  `"durationSec": 10, "thermalKernel": "warp",`,
-			want: []string{`unknown thermalKernel "warp"`},
+			doc:  `"durationSec": 10, "thermalKernel": "float32",`,
+			want: []string{`manifest.json:1: manifest: json: unknown field "thermalKernel"`},
 		},
 		{
 			name: "bad-ambient",
@@ -328,7 +330,7 @@ func TestLoadPackageAndDir(t *testing.T) {
 }
 
 func TestNameCatalogs(t *testing.T) {
-	if got := TechniqueNames(); len(got) != 5 || got[0] != "TOP-IL" {
+	if got := TechniqueNames(); len(got) != 6 || got[0] != "TOP-IL" {
 		t.Fatalf("TechniqueNames = %v", got)
 	}
 	if got := BackendNames(); len(got) != 3 {

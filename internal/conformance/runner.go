@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -142,12 +141,6 @@ func runCell(p *experiments.Pipeline, c cell) (map[string]float64, error) {
 	}
 	cfg := sim.DefaultConfig(c.sc.fan(), c.sc.AmbientC)
 	cfg.Seed = c.sc.Seed
-	switch c.sc.ThermalKernel {
-	case "float32":
-		cfg.ThermalKernel = thermal.KernelFloat32
-	case "reference":
-		cfg.ThermalKernel = thermal.KernelReference
-	}
 	e := sim.New(cfg)
 	var jobs []workload.Job
 	if len(c.sc.Jobs) > 0 {

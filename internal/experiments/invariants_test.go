@@ -47,7 +47,7 @@ func TestFigSuiteInvariants(t *testing.T) {
 		case "TOP-RL":
 			return rl.New(rl.NewQTable(plat.NumCores()), rl.DefaultParams(), seed), nil
 		default:
-			return governorManager(s.technique)
+			return p.Manager(s.technique, 0)
 		}
 	}
 

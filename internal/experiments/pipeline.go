@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/governor"
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/oracle"
@@ -331,7 +332,10 @@ func (p *Pipeline) Manager(technique string, seedIdx int) (sim.Manager, error) {
 		return rl.New(cloneQTable(tables[seedIdx]), rl.DefaultParams(),
 			p.Scale.Seeds[seedIdx]), nil
 	default:
-		return governorManager(technique)
+		if g, ok := governor.NewGTSByName(technique); ok {
+			return g, nil
+		}
+		return nil, fmt.Errorf("experiments: unknown technique %q", technique)
 	}
 }
 

@@ -36,13 +36,14 @@ func TestTechniquesOrder(t *testing.T) {
 }
 
 func TestGovernorManagerUnknown(t *testing.T) {
-	if _, err := governorManager("cpufreq/voodoo"); err == nil {
+	p := NewPipeline(QuickScale())
+	if _, err := p.Manager("cpufreq/voodoo", 0); err == nil {
 		t.Error("unknown technique accepted")
 	}
 	for _, name := range []string{"GTS/ondemand", "GTS/powersave", "GTS/performance"} {
-		m, err := governorManager(name)
+		m, err := p.Manager(name, 0)
 		if err != nil || m.Name() != name {
-			t.Errorf("governorManager(%q) = %v, %v", name, m, err)
+			t.Errorf("Manager(%q) = %v, %v", name, m, err)
 		}
 	}
 }

@@ -119,6 +119,32 @@ func NewGTS(policy FreqPolicy) *GTS {
 // Name implements sim.Manager.
 func (g *GTS) Name() string { return "GTS/" + g.policy.Name() }
 
+// gtsPolicies is the one table of named GTS baselines: each entry is
+// reachable as "GTS/" + its Name(). Ondemand uses the vendor-typical 80 %
+// up-threshold.
+var gtsPolicies = []FreqPolicy{Ondemand{UpThreshold: 0.8}, Powersave{}, Schedutil{}, Performance{}}
+
+// GTSNames lists the named GTS baselines in table order: "GTS/ondemand",
+// "GTS/powersave", "GTS/schedutil", "GTS/performance".
+func GTSNames() []string {
+	names := make([]string, len(gtsPolicies))
+	for i, p := range gtsPolicies {
+		names[i] = "GTS/" + p.Name()
+	}
+	return names
+}
+
+// NewGTSByName returns a fresh GTS manager for one of GTSNames; ok is
+// false for any other name.
+func NewGTSByName(name string) (g *GTS, ok bool) {
+	for _, p := range gtsPolicies {
+		if name == "GTS/"+p.Name() {
+			return NewGTS(p), true
+		}
+	}
+	return nil, false
+}
+
 // Attach implements sim.Manager.
 func (g *GTS) Attach(env *sim.Env) {
 	g.env = env

@@ -143,6 +143,14 @@ func TestGTSNames(t *testing.T) {
 	if got := NewGTS(Powersave{}).Name(); got != "GTS/powersave" {
 		t.Errorf("name = %q", got)
 	}
+	for _, name := range GTSNames() {
+		if g, ok := NewGTSByName(name); !ok || g.Name() != name {
+			t.Errorf("NewGTSByName(%q) = %v, %v", name, g, ok)
+		}
+	}
+	if _, ok := NewGTSByName("GTS/voodoo"); ok {
+		t.Error("unknown GTS name resolved")
+	}
 }
 
 func TestGTSUpMigratesToIdleBigCore(t *testing.T) {

@@ -99,7 +99,7 @@ func (l *OracleLabeler) Label(s Sample) ([]float64, bool, error) {
 
 // scenarioFor rebuilds the oracle scenario a sample was visited in, plus a
 // cache signature. ok is false when the sample carries no usable context:
-// infer-origin states, unknown benchmarks, background collisions.
+// non-sim origins, unknown benchmarks, background collisions.
 func (l *OracleLabeler) scenarioFor(s Sample) (oracle.Scenario, string, bool) {
 	if s.Origin != OriginSim || s.AoI == "" {
 		return oracle.Scenario{}, "", false

@@ -79,7 +79,7 @@ func TestOracleLabelerSkipsUnlabelableSamples(t *testing.T) {
 	base := visitedSample()
 
 	cases := map[string]func(s *Sample){
-		"infer origin":      func(s *Sample) { s.Origin = OriginInfer },
+		"infer origin":      func(s *Sample) { s.Origin = "infer" }, // older logs
 		"empty aoi":         func(s *Sample) { s.AoI = "" },
 		"unknown benchmark": func(s *Sample) { s.AoI = "no-such-app" },
 		"unknown background": func(s *Sample) {

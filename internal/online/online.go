@@ -14,17 +14,11 @@
 // cycles in a real process.
 package online
 
-// Origin values for Sample.Origin.
-const (
-	// OriginSim marks states visited by the simulation job pool — these
-	// carry full scenario context and are the DAgger labeling targets.
-	OriginSim = "sim"
-	// OriginInfer marks states submitted over the HTTP inference path.
-	// They lack scenario context (no AoI identity, no background specs),
-	// so the oracle cannot label them; they are recorded for rate
-	// accounting and future replay but skipped by the labeler.
-	OriginInfer = "infer"
-)
+// OriginSim is the Sample.Origin of states visited by the simulation job
+// pool: they carry full scenario context and are the DAgger labeling
+// targets. Logs written by older builds may hold other origins (context-free
+// "infer" rows); the labeler skips any sample that is not OriginSim.
+const OriginSim = "sim"
 
 // BackgroundRef identifies one background application pinned to a core at
 // the time a state was visited — enough to rebuild the oracle scenario.

@@ -47,14 +47,6 @@ type BatcherConfig struct {
 	// one machine; off by default (pure-compute batches, the historical
 	// behaviour).
 	PaceDevice bool
-	// PaceScale emulates an accelerator PaceScale times slower than the
-	// modelled NPU when PaceDevice is set: the effective device latency
-	// (both the paced slot occupancy and the reported per-batch device
-	// time) is Latency(batch) * PaceScale. Values <= 1 leave the modelled
-	// timing untouched. Benchmarks on core-starved machines use this to
-	// keep replicas device-bound, so horizontal scaling is measurable
-	// where raw HTTP throughput would otherwise hide it.
-	PaceScale float64
 	// Registry receives the batcher's metric families (serve_batcher_*),
 	// labelled by Name. Nil gets a private registry, so Stats works for
 	// standalone batchers.
@@ -401,9 +393,6 @@ func (b *Batcher) flush(batch []batchReq, full bool) {
 		}
 		outs, err := b.runBatch(be, ins)
 		modelled := be.Latency(len(batch))
-		if b.cfg.PaceDevice && b.cfg.PaceScale > 1 {
-			modelled = time.Duration(float64(modelled) * b.cfg.PaceScale)
-		}
 		var dev time.Duration
 		if err == nil {
 			dev = modelled

@@ -129,22 +129,19 @@ func TestBatcherFlushesOnTimer(t *testing.T) {
 	}
 }
 
-// TestBatcherPaceDevice pins the pacing semantics behind the cluster
-// bench: with PaceDevice the wall-clock of a submission is at least the
-// modelled device latency, and PaceScale stretches both the pacing and
-// the reported DeviceLatency as an emulated slower accelerator.
+// TestBatcherPaceDevice pins the pacing semantics: with PaceDevice the
+// wall-clock of a submission is at least the modelled device latency, which
+// is also the reported DeviceLatency.
 func TestBatcherPaceDevice(t *testing.T) {
 	m := testModel(t)
 	dev := npu.New(m)
 	base := dev.Latency(1)
-	const scale = 8
 	b := NewBatcher(dev, m.InputDim(), BatcherConfig{
 		MaxBatch:    4,
 		MaxWait:     time.Millisecond,
 		QueueCap:    8,
 		MaxInflight: 1,
 		PaceDevice:  true,
-		PaceScale:   scale,
 	})
 	defer b.Close()
 
@@ -154,14 +151,12 @@ func TestBatcherPaceDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.DeviceLatency != scale*base {
-		t.Errorf("reported device latency %v, want %v (modelled %v x %d)",
-			info.DeviceLatency, scale*base, base, scale)
+	if info.DeviceLatency != base {
+		t.Errorf("reported device latency %v, want the modelled %v", info.DeviceLatency, base)
 	}
-	// The paced sleep holds results back for the scaled modelled cost;
-	// allow generous scheduler slop below but require the floor.
-	if elapsed < scale*base {
-		t.Errorf("paced submit returned in %v, below the scaled device cost %v", elapsed, scale*base)
+	// The paced sleep holds results back for the modelled cost.
+	if elapsed < base {
+		t.Errorf("paced submit returned in %v, below the modelled device cost %v", elapsed, base)
 	}
 }
 

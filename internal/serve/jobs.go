@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,9 +96,10 @@ func (r SimRequest) validate() error {
 		if r.Backend != "npu" && r.Backend != "cpu" {
 			return fmt.Errorf("serve: unknown inference backend %q", r.Backend)
 		}
-	case "GTS/ondemand", "GTS/powersave", "GTS/schedutil", "GTS/performance":
 	default:
-		return fmt.Errorf("serve: unknown policy %q", r.Policy)
+		if !slices.Contains(governor.GTSNames(), r.Policy) {
+			return fmt.Errorf("serve: unknown policy %q", r.Policy)
+		}
 	}
 	if r.Duration <= 0 || r.Duration > 24*3600 {
 		return fmt.Errorf("serve: duration %g s out of range (0, 86400]", r.Duration)
@@ -742,15 +744,10 @@ func (r *Runner) manager(req SimRequest, cfg sim.Config) (sim.Manager, error) {
 			cc.Observe = func(obs core.EpochObservation) { fn(name, obs) }
 		}
 		return core.New(backend, cc), nil
-	case "GTS/ondemand":
-		return governor.NewGTS(governor.Ondemand{UpThreshold: 0.8}), nil
-	case "GTS/powersave":
-		return governor.NewGTS(governor.Powersave{}), nil
-	case "GTS/schedutil":
-		return governor.NewGTS(governor.Schedutil{}), nil
-	case "GTS/performance":
-		return governor.NewGTS(governor.Performance{}), nil
 	default:
+		if g, ok := governor.NewGTSByName(req.Policy); ok {
+			return g, nil
+		}
 		return nil, fmt.Errorf("serve: unknown policy %q", req.Policy)
 	}
 }

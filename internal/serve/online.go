@@ -12,8 +12,8 @@ import (
 )
 
 // OnlineConfig wires internal/online's DAgger continual learner into the
-// server: visited states from sim jobs and the infer path are recorded to
-// a durable sample log, a background loop labels them via the oracle and
+// server: visited states from sim jobs are recorded to a durable sample
+// log, a background loop labels them via the oracle and
 // retrains the model, and candidates are shadow-scored on live traffic
 // before an atomic hot swap.
 type OnlineConfig struct {
@@ -187,37 +187,6 @@ func (o *onlineState) observeSim(model string, obs core.EpochObservation) {
 			return
 		}
 	}
-}
-
-// recordInfer records the infer path's visited states (carrying no
-// scenario context — the labeler skips them, but the state distribution is
-// journaled alongside the policy's chosen actions).
-func (o *onlineState) recordInfer(inputs, outputs [][]float64) {
-	for i := range inputs {
-		if outputs[i] == nil {
-			continue
-		}
-		s := online.Sample{
-			Origin:   online.OriginInfer,
-			Features: append([]float64(nil), inputs[i]...),
-			Action:   argmaxRow(outputs[i]),
-		}
-		if err := o.manager.Record(s); err != nil {
-			log.Printf("serve: online record: %v", err)
-			return
-		}
-	}
-}
-
-// argmaxRow returns the index of the largest rating (first on ties).
-func argmaxRow(v []float64) int {
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // recordResult folds a completed TOP-IL sim result against the online

@@ -243,10 +243,26 @@ func TestServerOnlineLifecycle(t *testing.T) {
 		t.Fatalf("post-rollback status: %+v", st)
 	}
 
-	// The infer path records visited states too (origin "infer" — skipped
-	// by the labeler but journaled).
-	if st.SamplesSkipped == 0 {
-		t.Fatalf("infer-path states not recorded: %+v", st)
+	// Only sim jobs record states, and every one carries the scenario
+	// context the labeler needs: nothing was recorded just to be skipped.
+	if st.SamplesSkipped != 0 {
+		t.Fatalf("unlabelable samples recorded: %+v", st)
+	}
+}
+
+// TestServerOnlineInferDoesNotRecord pins that /v1/infer traffic against
+// the online model never reaches the sample log: its rows carry no
+// scenario context for the oracle, and recording them would evict
+// labelable sim-job samples from the bounded reservoir.
+func TestServerOnlineInferDoesNotRecord(t *testing.T) {
+	s, ts := onlineTestServer(t, (&settableReplay{}).fn)
+	defer s.Shutdown(t.Context())
+	const n = 20
+	for i := 0; i < n; i++ {
+		inferOnce(t, ts)
+	}
+	if st := onlineStatusOf(t, ts); st.SamplesRecorded != 0 {
+		t.Fatalf("%d infer calls recorded %d samples, want 0", n, st.SamplesRecorded)
 	}
 }
 

@@ -427,9 +427,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.WallUs = float64(time.Since(start)) / float64(time.Microsecond)
-	if s.online != nil && req.Model == s.online.model {
-		s.online.recordInfer(req.Inputs, resp.Outputs)
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -75,14 +75,6 @@ type Config struct {
 	// ticks (default 10, i.e. 100 ms).
 	WindowTicks int
 
-	// ThermalKernel selects the thermal integration kernel. The zero value
-	// keeps whatever the network is configured with (the collapsed float64
-	// propagator by default); set thermal.KernelFloat32 for the reduced-
-	// precision variant (gate with the testkit tolerance diff) or
-	// thermal.KernelReference for the naive Euler stepper used as the
-	// differential-test baseline.
-	ThermalKernel thermal.Kernel
-
 	// Telemetry optionally receives the engine's sim_* metric families.
 	// Nil (the default) leaves every counter a nil-receiver no-op, so
 	// deterministic runs pay nothing.
@@ -288,9 +280,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.WindowTicks <= 0 {
 		cfg.WindowTicks = 10
-	}
-	if cfg.ThermalKernel != thermal.KernelPropagator {
-		cfg.Thermal.SetKernel(cfg.ThermalKernel)
 	}
 	e := &Engine{
 		cfg:          cfg,

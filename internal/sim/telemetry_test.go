@@ -89,7 +89,7 @@ func TestDVFSCounterOnlyCountsChanges(t *testing.T) {
 	e := New(cfg)
 	env := e.Env()
 	env.SetClusterFreqIndex(0, 3)
-	env.SetClusterFreqIndex(0, 3) // redundant
+	env.SetClusterFreqIndex(0, 3)  // redundant
 	env.SetClusterFreqIndex(0, 99) // clamps to max, a change
 	env.SetClusterFreqIndex(0, 99) // clamped and redundant
 

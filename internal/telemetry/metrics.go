@@ -174,7 +174,9 @@ func (h *Histogram) Max() float64 {
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // within the containing bucket, preserving the estimator the serving
 // layer's stats always used. Observations in the +Inf overflow bucket
-// resolve to Max. Returns zero when empty; nil histograms report zero.
+// resolve to Max. The estimate is clamped to [0, Max]: interpolating
+// towards a bucket's upper bound must not report a quantile larger than
+// any observation. Returns zero when empty; nil histograms report zero.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -213,7 +215,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			if frac > 1 {
 				frac = 1
 			}
-			return lo + (hi-lo)*frac
+			return math.Max(0, math.Min(lo+(hi-lo)*frac, h.Max()))
 		}
 		cum += n
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,39 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	// Empty histogram.
 	if got := r.Histogram("empty_seconds", "", []float64{1}).Quantile(0.9); got != 0 {
 		t.Fatalf("empty Quantile = %v, want 0", got)
+	}
+}
+
+// TestHistogramQuantileProperties checks the estimator over seeded random
+// bucket layouts and observations: quantiles are monotone in q and stay
+// within [0, Max]. Interpolating towards a sparse bucket's upper bound
+// used to report a p99 above the largest observation.
+func TestHistogramQuantileProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		bounds := make([]float64, 1+rng.Intn(8))
+		for i := range bounds {
+			bounds[i] = rng.Float64()*20 - 2 // a few negative bounds too
+		}
+		h := newHistogram(bounds)
+		for n := 1 + rng.Intn(50); n > 0; n-- {
+			h.Observe(rng.ExpFloat64() * 4)
+		}
+		max := h.Max()
+		prev := math.Inf(-1)
+		for i := 0; i <= 100; i++ {
+			q := float64(i) / 100
+			v := h.Quantile(q)
+			if v < 0 || v > max {
+				t.Fatalf("trial %d: Quantile(%v) = %v outside [0, Max=%v] (bounds %v)",
+					trial, q, v, max, h.bounds)
+			}
+			if v < prev {
+				t.Fatalf("trial %d: Quantile(%v) = %v below Quantile(%v) = %v",
+					trial, q, v, float64(i-1)/100, prev)
+			}
+			prev = v
+		}
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 // governor, TOP-IL) over seeded workloads, fan on and off. Each call builds
 // fresh configs — sim.DefaultConfig allocates a fresh thermal network, so
 // the two sides of a differential never share kernel state.
-func kernelScenarios(kernel thermal.Kernel, fanOnly bool) []testkit.Scenario {
+func kernelScenarios(kernel thermal.Kernel) []testkit.Scenario {
 	withKernel := func(fan bool) sim.Config {
 		cfg := sim.DefaultConfig(fan, 25)
-		cfg.ThermalKernel = kernel
+		cfg.Thermal.SetKernel(kernel)
 		return cfg
 	}
 	topil := func(seed int64) func() sim.Manager {
@@ -28,7 +28,7 @@ func kernelScenarios(kernel thermal.Kernel, fanOnly bool) []testkit.Scenario {
 			return core.New(npu.New(testModel(seed)), core.DefaultConfig())
 		}
 	}
-	s := []testkit.Scenario{
+	return []testkit.Scenario{
 		{
 			Name: "kernel-gts-ondemand-fan", Cfg: withKernel(true), Jobs: testJobs(11, 8),
 			NewManager: func() sim.Manager { return governor.NewGTS(governor.Ondemand{UpThreshold: 0.8}) },
@@ -43,21 +43,16 @@ func kernelScenarios(kernel thermal.Kernel, fanOnly bool) []testkit.Scenario {
 			Name: "kernel-topil-fan", Cfg: withKernel(true), Jobs: testJobs(13, 8),
 			NewManager: topil(7), Duration: 4,
 		},
+		{
+			Name: "kernel-gts-ondemand-nofan", Cfg: withKernel(false), Jobs: testJobs(14, 8),
+			NewManager: func() sim.Manager { return governor.NewGTS(governor.Ondemand{UpThreshold: 0.8}) },
+			Duration:   4,
+		},
+		{
+			Name: "kernel-topil-nofan", Cfg: withKernel(false), Jobs: testJobs(15, 8),
+			NewManager: topil(8), Duration: 4,
+		},
 	}
-	if !fanOnly {
-		s = append(s,
-			testkit.Scenario{
-				Name: "kernel-gts-ondemand-nofan", Cfg: withKernel(false), Jobs: testJobs(14, 8),
-				NewManager: func() sim.Manager { return governor.NewGTS(governor.Ondemand{UpThreshold: 0.8}) },
-				Duration:   4,
-			},
-			testkit.Scenario{
-				Name: "kernel-topil-nofan", Cfg: withKernel(false), Jobs: testJobs(15, 8),
-				NewManager: topil(8), Duration: 4,
-			},
-		)
-	}
-	return s
 }
 
 // TestKernelDifferentialFloat64 is the gate for the propagator rewrite: the
@@ -67,11 +62,11 @@ func kernelScenarios(kernel thermal.Kernel, fanOnly bool) []testkit.Scenario {
 // caching leaks scheduling into results.
 func TestKernelDifferentialFloat64(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		prop := testkit.MapOrdered(workers, kernelScenarios(thermal.KernelPropagator, false),
+		prop := testkit.MapOrdered(workers, kernelScenarios(thermal.KernelPropagator),
 			func(_ int, s testkit.Scenario) string { return testkit.TraceScenario(s) })
-		ref := testkit.MapOrdered(workers, kernelScenarios(thermal.KernelReference, false),
+		ref := testkit.MapOrdered(workers, kernelScenarios(thermal.KernelReference),
 			func(_ int, s testkit.Scenario) string { return testkit.TraceScenario(s) })
-		names := kernelScenarios(thermal.KernelPropagator, false)
+		names := kernelScenarios(thermal.KernelPropagator)
 		for i := range names {
 			if err := testkit.DiffTraces(prop[i], ref[i], 0); err != nil {
 				t.Errorf("-j%d %s: propagator vs reference kernel diverge: %v",
@@ -80,28 +75,6 @@ func TestKernelDifferentialFloat64(t *testing.T) {
 			if strings.Count(prop[i], "\n") < 5 {
 				t.Errorf("%s: suspiciously short trace:\n%s", names[i].Name, prop[i])
 			}
-		}
-	}
-}
-
-// TestKernelDifferentialFloat32 bounds the reduced-precision variant: the
-// float32 kernel may drift in temperature-valued tokens within a small
-// relative tolerance, but must never flip anything structural (mappings, VF
-// levels, violation or migration counts). The set is restricted to fan-on
-// scenarios, which stay clear of the DTM thresholds — near a threshold a
-// sub-tolerance temperature difference legitimately flips discrete
-// throttling decisions, which is exactly what this gate must not excuse.
-func TestKernelDifferentialFloat32(t *testing.T) {
-	const tol = 2e-3 // ~2 float32 ulps at 25–90 °C, well below any threshold margin
-	prop := kernelScenarios(thermal.KernelPropagator, true)
-	f32 := kernelScenarios(thermal.KernelFloat32, true)
-	for i := range prop {
-		a, b := testkit.TraceScenario(prop[i]), testkit.TraceScenario(f32[i])
-		if err := testkit.DiffTraces(a, b, tol); err != nil {
-			t.Errorf("%s: float32 kernel beyond tolerance: %v", prop[i].Name, err)
-		}
-		if a == b {
-			t.Errorf("%s: float32 trace is byte-identical to float64 — kernel switch had no effect", prop[i].Name)
 		}
 	}
 }

@@ -118,7 +118,7 @@ func recordSamples(t *testing.T, mgr *online.Manager, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		s := online.Sample{
-			Origin:   online.OriginInfer,
+			Origin:   online.OriginSim,
 			Features: []float64{float64(i), 1, 2, 3},
 			Action:   i % 3,
 		}
@@ -220,7 +220,7 @@ func TestCorruptSampleTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		s := online.Sample{Origin: online.OriginInfer, Features: []float64{float64(i)}, Action: i}
+		s := online.Sample{Origin: online.OriginSim, Features: []float64{float64(i)}, Action: i}
 		if _, err := log.Append(s); err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestCorruptSampleTailRecovery(t *testing.T) {
 			t.Fatalf("recovered sample %d corrupted: %+v", s.Seq, s)
 		}
 	}
-	if _, err := re.Append(online.Sample{Origin: online.OriginInfer, Features: []float64{9}, Action: 1}); err != nil {
+	if _, err := re.Append(online.Sample{Origin: online.OriginSim, Features: []float64{9}, Action: 1}); err != nil {
 		t.Fatalf("append after tail recovery: %v", err)
 	}
 }

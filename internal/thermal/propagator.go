@@ -34,9 +34,7 @@ package thermal
 // byte-identical float64 traces on this. For k > 1 the collapse
 // reassociates the substep recurrence, so kernel and reference agree only
 // to rounding (~1e-12 relative); every fig-suite configuration has k == 1
-// (dt = 10 ms against a ≥ 27 ms stability step). The float32 kernel
-// converts state and power per tick and accumulates in float32; it is
-// gated by a tolerance-band differential check, never byte identity.
+// (dt = 10 ms against a ≥ 27 ms stability step).
 
 // Kernel selects the integration kernel Step uses. The zero value is the
 // default float64 propagator.
@@ -46,10 +44,6 @@ const (
 	// KernelPropagator is the default: the collapsed float64 propagator
 	// applied as a flat matvec.
 	KernelPropagator Kernel = iota
-	// KernelFloat32 applies the propagator in float32 arithmetic
-	// (roughly half the memory traffic; ~1e-5 relative temperature
-	// error). Gate deployments behind the testkit tolerance diff.
-	KernelFloat32
 	// KernelReference is the naive per-substep dense Euler stepper,
 	// rebuilt from G, C and TAmb on every call. It exists as the
 	// differential-gate reference and for tests; it is allocation-heavy
@@ -92,11 +86,6 @@ type propagator struct {
 
 	tNew []float64 // matvec output scratch
 	d    []float64 // steps>1 scratch: Q·u + r for this tick
-
-	// float32 mirrors, built only under KernelFloat32.
-	p32, q32         []float32
-	qDiag32, r32     []float32
-	t32, u32, tNew32 []float32
 }
 
 // eulerMatrices builds the per-substep affine update (A, bDiag, c) for
@@ -167,28 +156,8 @@ func (n *Network) buildPropagator(dt float64) *propagator {
 		pr.p, pr.q, pr.r = p, q, r
 		pr.d = make([]float64, nn)
 	}
-	if n.kernel == KernelFloat32 {
-		pr.p32 = toF32(pr.p)
-		pr.q32 = toF32(pr.q)
-		pr.qDiag32 = toF32(pr.qDiag)
-		pr.r32 = toF32(pr.r)
-		pr.t32 = make([]float32, nn)
-		pr.u32 = make([]float32, nn)
-		pr.tNew32 = make([]float32, nn)
-	}
 	n.prop = pr
 	return pr
-}
-
-func toF32(v []float64) []float32 {
-	if v == nil {
-		return nil
-	}
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
 }
 
 // collapse returns (A^k, Σ_{m<k} A^m) by repeated squaring. Updates
@@ -290,49 +259,6 @@ func (pr *propagator) step(t, u []float64) {
 		out[i] = acc
 	}
 	copy(t, out)
-}
-
-// step32 is the float32 variant: state and power convert in and out each
-// tick (the float64 slice in Network stays the master state), and the
-// matvec accumulates in float32.
-//
-//hot:per-simulation-tick
-func (pr *propagator) step32(t, u []float64) {
-	nn := pr.nn
-	t32, u32, out := pr.t32, pr.u32, pr.tNew32
-	for i := 0; i < nn; i++ {
-		t32[i] = float32(t[i])
-		u32[i] = float32(u[i])
-	}
-	p := pr.p32
-	if pr.steps == 1 {
-		qd := pr.qDiag32
-		for i := 0; i < nn; i++ {
-			acc := pr.r32[i]
-			row := p[i*nn : i*nn+nn]
-			for j, tj := range t32 {
-				acc += row[j] * tj
-			}
-			acc += qd[i] * u32[i]
-			out[i] = acc
-		}
-	} else {
-		q := pr.q32
-		for i := 0; i < nn; i++ {
-			acc := pr.r32[i]
-			row := q[i*nn : i*nn+nn]
-			for j, uj := range u32 {
-				acc += row[j] * uj
-			}
-			for j, tj := range t32 {
-				acc += p[i*nn+j] * tj
-			}
-			out[i] = acc
-		}
-	}
-	for i := 0; i < nn; i++ {
-		t[i] = float64(out[i])
-	}
 }
 
 // stepReference is the retained naive Euler stepper: it rebuilds the

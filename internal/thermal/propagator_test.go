@@ -183,41 +183,6 @@ func TestPropagatorInvalidation(t *testing.T) {
 	}
 }
 
-// TestFloat32KernelTolerance: the float32 kernel must track the float64
-// kernel within single-precision accumulation error and stay
-// deterministic across repeated runs.
-func TestFloat32KernelTolerance(t *testing.T) {
-	run := func() *Network {
-		n := HiKey970Network(true, 25)
-		n.SetKernel(KernelFloat32)
-		p := make([]float64, 9)
-		p[4], p[6], p[PkgNode] = 2.5, 3.5, 0.5
-		for i := 0; i < 5000; i++ {
-			n.Step(p, 0.01)
-		}
-		return n
-	}
-	f32a, f32b := run(), run()
-	for i := range f32a.t {
-		if f32a.t[i] != f32b.t[i] {
-			t.Errorf("node %d: float32 kernel nondeterministic: %v vs %v", i, f32a.t[i], f32b.t[i])
-		}
-	}
-
-	f64 := HiKey970Network(true, 25)
-	p := make([]float64, 9)
-	p[4], p[6], p[PkgNode] = 2.5, 3.5, 0.5
-	for i := 0; i < 5000; i++ {
-		f64.Step(p, 0.01)
-	}
-	for i := range f64.t {
-		rel := math.Abs(f32a.t[i]-f64.t[i]) / math.Max(1, math.Abs(f64.t[i]))
-		if rel > 1e-3 {
-			t.Errorf("node %d: float32 %v vs float64 %v (rel %g)", i, f32a.t[i], f64.t[i], rel)
-		}
-	}
-}
-
 // TestPropagatorKIsOne documents the premise the byte-identical
 // differential gates rest on: both platform presets integrate a 10 ms
 // tick in a single substep.

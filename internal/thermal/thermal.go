@@ -28,8 +28,8 @@ type Node struct {
 // expressed in matrix form as the affine per-substep update
 // T' = A·T + B·u + c (see propagator.go for the derivation). Step applies
 // a cached, collapsed form of that update; the Kernel selects between the
-// default float64 propagator, a float32 variant, and the naive per-substep
-// Euler reference retained for differential gates.
+// default float64 propagator and the naive per-substep Euler reference
+// retained for differential gates.
 type Network struct {
 	Nodes []Node
 	// TAmb is the ambient temperature in °C. It may be set before the
@@ -193,10 +193,6 @@ func (n *Network) Step(power []float64, dt float64) {
 	pr := n.prop
 	if pr == nil || pr.dt != dt || pr.tAmb != n.TAmb {
 		pr = n.buildPropagator(dt) // cold path: mutation or new dt
-	}
-	if n.kernel == KernelFloat32 {
-		pr.step32(n.t, power)
-		return
 	}
 	pr.step(n.t, power)
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Default verify flow: build + vet + lint + tests + race pass over the
-# concurrent packages + coverage gate + sim-time trace determinism.
-# `scripts/check.sh smoke` additionally boots topil-serve and drives one
+# Default verify flow, and the only definition of it (the Makefile's check
+# and race targets call this script): build + vet + lint + tests + race
+# pass over the concurrent packages + coverage gate + hot-path allocation
+# gate + sim-time trace determinism. `scripts/check.sh race` runs just the
+# race pass. `scripts/check.sh smoke` additionally boots topil-serve and drives one
 # infer + sim round trip over HTTP, scrapes /metrics, then drains it with
 # SIGINT. `scripts/check.sh cluster-smoke` boots three journal-backed
 # replicas behind topil-cluster, SIGKILLs one under load, and checks
@@ -14,6 +16,27 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# race_pass runs the race detector over every package that runs
+# goroutines: the serving stack and its router, the inference substrate it
+# shares models with, the continual learner's background trainer and hot
+# swap, and the simulation/workload/conformance/experiment layers. The
+# experiments package runs with -short so the race detector's ~20x
+# slowdown doesn't blow the test timeout on the full oracle+training
+# pipeline; its artifact and concurrency tests still run.
+race_pass() {
+    echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry, conformance, online)"
+    go test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
+        ./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/... \
+        ./internal/conformance/... ./internal/online/...
+    echo "== go test -race -short (experiments)"
+    go test -race -short ./internal/experiments/...
+}
+
+if [ "${1:-}" = "race" ]; then
+    race_pass
+    exit 0
+fi
 
 if [ "${1:-}" = "smoke" ]; then
     tmp=$(mktemp -d)
@@ -247,18 +270,9 @@ fi
 echo "topil-lint clean (analysis ${lint_wall}s, budget ${lint_budget}s)"
 echo "== go test ./..."
 go test ./...
-echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry)"
-go test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
-    ./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/...
-echo "== go test -race -short (experiments)"
-go test -race -short ./internal/experiments/...
+race_pass
 echo "== coverage gate"
 ./scripts/coverage_gate.sh
-echo "== bench artifact schema (BENCH_experiments.json)"
-# The committed speedup artifact must carry per-entry host parallelism
-# (num_cpu/go_max_procs/workers) and identical sequential/parallel output —
-# the contract `make bench` regenerates under. See scripts/benchexp.
-go run ./scripts/benchexp -check BENCH_experiments.json
 echo "== hot-path allocation gate (0 allocs/op)"
 # The //hot annotations are gated statically by topil-lint's hotalloc pass;
 # this is the dynamic counterpart on the two per-tick kernels, so an
