@@ -59,7 +59,6 @@ func run() error {
 		storeRoot = flag.String("store-root", "", "root directory for per-replica job journals (empty: temp dir)")
 		workers   = flag.Int("workers", 0, "per-replica simulation workers (default NumCPU/n, min 1)")
 		queueCap  = flag.Int("queue", 0, "per-replica job queue capacity (default 4x workers)")
-		paceDev   = flag.Bool("pace-device", false, "pace each replica's batcher at modelled NPU latency")
 		vnodes    = flag.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per replica on the hash ring")
 		shedLoad  = flag.Float64("shed-load", 0, "queue-fill fraction at which a replica is skipped (default 0.95)")
 		healthInt = flag.Duration("health-interval", 250*time.Millisecond, "replica health poll interval")
@@ -122,7 +121,6 @@ func run() error {
 				ModelsDir: *models,
 				Workers:   w,
 				QueueCap:  *queueCap,
-				Batch:     serve.BatcherConfig{PaceDevice: *paceDev},
 			},
 			StoreRoot: root,
 		})

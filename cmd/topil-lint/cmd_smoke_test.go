@@ -192,7 +192,7 @@ func rulesIn(t *testing.T, rep map[string]any) map[string]int {
 // diagnostics array in the envelope.
 func TestSmokeCleanExitsZero(t *testing.T) {
 	dir := writeModule(t, clean)
-	out, code := runLint(t, dir, "-json", "-rules", newRules, "-cachedir", t.TempDir(), "./...")
+	out, code := runLint(t, dir, "-json", "-rules", newRules, "./...")
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\n%s", code, out)
 	}
@@ -200,7 +200,7 @@ func TestSmokeCleanExitsZero(t *testing.T) {
 	if n := len(rulesIn(t, rep)); n != 0 {
 		t.Errorf("clean tree produced %d finding rules: %v", n, rep["diagnostics"])
 	}
-	for _, key := range []string{"packages", "load_seconds", "analysis_wall_seconds", "cache_hits", "cache_misses"} {
+	for _, key := range []string{"packages", "load_seconds", "analysis_wall_seconds"} {
 		if _, ok := rep[key]; !ok {
 			t.Errorf("envelope missing %q: %v", key, rep)
 		}
@@ -211,7 +211,7 @@ func TestSmokeCleanExitsZero(t *testing.T) {
 // once on the violation module, and the exit code is 3.
 func TestSmokeFindingsExitThree(t *testing.T) {
 	dir := writeModule(t, violations)
-	out, code := runLint(t, dir, "-json", "-rules", newRules, "-cachedir", t.TempDir(), "./...")
+	out, code := runLint(t, dir, "-json", "-rules", newRules, "./...")
 	if code != 3 {
 		t.Fatalf("exit code %d, want 3\n%s", code, out)
 	}
@@ -227,7 +227,7 @@ func TestSmokeFindingsExitThree(t *testing.T) {
 // the envelope.
 func TestSmokeDiagnosticShape(t *testing.T) {
 	dir := writeModule(t, violations)
-	out, code := runLint(t, dir, "-json", "-rules", "goleak", "-cachedir", t.TempDir(), "./...")
+	out, code := runLint(t, dir, "-json", "-rules", "goleak", "./...")
 	if code != 3 {
 		t.Fatalf("exit code %d, want 3\n%s", code, out)
 	}
@@ -251,7 +251,7 @@ func TestSmokeDiagnosticShape(t *testing.T) {
 func TestSmokeDisable(t *testing.T) {
 	dir := writeModule(t, violations)
 	out, code := runLint(t, dir, "-json", "-rules", newRules,
-		"-disable", "goleak,hotalloc", "-cachedir", t.TempDir(), "./...")
+		"-disable", "goleak,hotalloc", "./...")
 	if code != 3 {
 		t.Fatalf("exit code %d, want 3\n%s", code, out)
 	}
@@ -277,14 +277,14 @@ func TestSmokeUnknownRuleExitsOne(t *testing.T) {
 // (exit 0), and an unused directive becomes a badignore finding.
 func TestSmokeSuppressionRoundTrip(t *testing.T) {
 	dir := writeModule(t, suppressed)
-	out, code := runLint(t, dir, "-json", "-rules", newRules, "-cachedir", t.TempDir(), "./...")
+	out, code := runLint(t, dir, "-json", "-rules", newRules, "./...")
 	if code != 0 {
 		t.Fatalf("suppressed module: exit code %d, want 0\n%s", code, out)
 	}
 
 	unused := clean + "\nfunc Noop() {\n\t//lint:ignore goleak nothing to suppress here\n\t_ = 0\n}\n"
 	dir2 := writeModule(t, unused)
-	out2, code2 := runLint(t, dir2, "-json", "-rules", newRules, "-cachedir", t.TempDir(), "./...")
+	out2, code2 := runLint(t, dir2, "-json", "-rules", newRules, "./...")
 	if code2 != 3 {
 		t.Fatalf("unused suppression: exit code %d, want 3\n%s", code2, out2)
 	}
@@ -294,38 +294,36 @@ func TestSmokeSuppressionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSmokeCacheWarm: a second identical run against the same -cachedir
-// reports hits and identical diagnostics.
-func TestSmokeCacheWarm(t *testing.T) {
-	dir := writeModule(t, violations)
-	cache := t.TempDir()
-	out1, code1 := runLint(t, dir, "-json", "-rules", newRules, "-cachedir", cache, "./...")
-	out2, code2 := runLint(t, dir, "-json", "-rules", newRules, "-cachedir", cache, "./...")
-	if code1 != 3 || code2 != 3 {
-		t.Fatalf("exit codes %d/%d, want 3/3", code1, code2)
+// TestSmokeDependencyChange: a finding that appears only because a
+// dependency changed is reported on the next run. Package a takes b.T by
+// value; once b.T gains a mutex, lockcheck must flag a's parameter even
+// though a's own files are untouched.
+func TestSmokeDependencyChange(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rep1, rep2 := decodeReport(t, out1), decodeReport(t, out2)
-	if rep2["cache_hits"].(float64) == 0 {
-		t.Errorf("warm run reports no cache hits: %v", rep2)
-	}
-	d1, _ := json.Marshal(rep1["diagnostics"])
-	d2, _ := json.Marshal(rep2["diagnostics"])
-	if string(d1) != string(d2) {
-		t.Errorf("cached diagnostics differ:\n%s\n%s", d1, d2)
-	}
-	if !strings.Contains(string(d1), "never exits") {
-		t.Errorf("diagnostics lack the goleak message: %s", d1)
-	}
-}
+	write("go.mod", "module demo\n\ngo 1.21\n")
+	write("a/a.go", "package a\n\nimport \"demo/b\"\n\n// Use reads t.\nfunc Use(t b.T) int { return t.N }\n")
+	write("b/b.go", "package b\n\n// T is a plain value.\ntype T struct{ N int }\n")
 
-// TestSmokeNoCacheFlag: -cache=false never reports hits even on a
-// repeat run.
-func TestSmokeNoCacheFlag(t *testing.T) {
-	dir := writeModule(t, violations)
-	runLint(t, dir, "-json", "-cache=false", "-rules", newRules, "./...")
-	out, _ := runLint(t, dir, "-json", "-cache=false", "-rules", newRules, "./...")
-	rep := decodeReport(t, out)
-	if rep["cache_hits"].(float64) != 0 {
-		t.Errorf("-cache=false still hit: %v", rep)
+	if out, code := runLint(t, dir, "-rules", "lockcheck", "./..."); code != 0 {
+		t.Fatalf("before the change: exit code %d, want 0\n%s", code, out)
+	}
+
+	write("b/b.go", "package b\n\nimport \"sync\"\n\n// T now guards N.\ntype T struct {\n\tmu sync.Mutex\n\tN  int\n}\n")
+	out, code := runLint(t, dir, "-rules", "lockcheck", "./...")
+	if code != 3 {
+		t.Fatalf("after the change: exit code %d, want 3\n%s", code, out)
+	}
+	if !strings.Contains(out, "a/a.go:6:") || !strings.Contains(out, "lockcheck: parameter of type demo/b.T contains a mutex") {
+		t.Errorf("missing the a/a.go lockcheck finding:\n%s", out)
 	}
 }

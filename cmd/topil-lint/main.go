@@ -21,10 +21,6 @@
 // listeners and tickers are released on every path, with ownership
 // transfer across calls).
 //
-// Results are cached per package under -cachedir keyed on file content
-// hashes, so unchanged re-runs are near-instant; -cache=false forces a
-// full recompute.
-//
 // Exit status: 0 when the tree is clean, 3 when findings are reported,
 // 1 on operational errors (bad pattern, unreadable files).
 package main
@@ -42,12 +38,10 @@ import (
 
 func main() {
 	flag.Usage = usage
-	jsonOut := flag.Bool("json", false, "emit a JSON report (diagnostics, timings, cache stats) instead of text")
+	jsonOut := flag.Bool("json", false, "emit a JSON report (diagnostics and timings) instead of text")
 	rules := flag.String("rules", "all", "comma-separated rules to run (\"all\" = full suite)")
 	disable := flag.String("disable", "", "comma-separated rules to skip")
 	typeErrs := flag.Bool("typeerrors", false, "also print type-checker errors (analysis is best-effort without)")
-	useCache := flag.Bool("cache", true, "reuse per-package results keyed on file content hashes")
-	cacheDir := flag.String("cachedir", "", "cache location (default: user cache dir/topil-lint)")
 	flag.Parse()
 
 	code, err := run(flag.Args(), options{
@@ -55,8 +49,6 @@ func main() {
 		disable:  *disable,
 		jsonOut:  *jsonOut,
 		typeErrs: *typeErrs,
-		useCache: *useCache,
-		cacheDir: *cacheDir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "topil-lint: %v\n", err)
@@ -80,8 +72,6 @@ func usage() {
 type options struct {
 	rules, disable    string
 	jsonOut, typeErrs bool
-	useCache          bool
-	cacheDir          string
 }
 
 // report is the -json envelope. The diagnostics array keeps the pinned
@@ -92,8 +82,6 @@ type report struct {
 	Packages            int                   `json:"packages"`
 	LoadSeconds         float64               `json:"load_seconds"`
 	AnalysisWallSeconds float64               `json:"analysis_wall_seconds"`
-	CacheHits           int                   `json:"cache_hits"`
-	CacheMisses         int                   `json:"cache_misses"`
 }
 
 // selectAnalyzers resolves the -rules/-disable flags against the suite.
@@ -169,15 +157,8 @@ func run(patterns []string, opts options) (int, error) {
 		}
 	}
 
-	cacheDir := ""
-	if opts.useCache {
-		cacheDir = opts.cacheDir
-		if cacheDir == "" {
-			cacheDir = analysis.DefaultCacheDir()
-		}
-	}
 	analysisStart := time.Now()
-	diags, stats := analysis.RunCached(pkgs, analyzers, cacheDir)
+	diags := analysis.Run(pkgs, analyzers)
 	wallSecs := time.Since(analysisStart).Seconds()
 
 	if opts.jsonOut {
@@ -191,8 +172,6 @@ func run(patterns []string, opts options) (int, error) {
 			Packages:            len(pkgs),
 			LoadSeconds:         loadSecs,
 			AnalysisWallSeconds: wallSecs,
-			CacheHits:           stats.Hits,
-			CacheMisses:         stats.Misses,
 		}); err != nil {
 			return 0, err
 		}

@@ -33,9 +33,7 @@
 // -store DIR journals every job transition to DIR so accepted jobs
 // survive a crash: restart with the same -store and interrupted jobs
 // re-execute. This is the per-replica durability layer behind
-// topil-cluster (see docs/CLUSTER.md). -pace-device makes the inference
-// batcher occupy the modelled NPU for each batch's device latency, so a
-// replica behaves like it owns one real accelerator.
+// topil-cluster (see docs/CLUSTER.md).
 //
 // On SIGINT/SIGTERM the server stops accepting work and drains: accepted
 // inference requests are answered and in-flight simulation jobs run to
@@ -81,7 +79,6 @@ func run() error {
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
 		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		storeDir  = flag.String("store", "", "durable job store directory (empty: jobs are in-memory only)")
-		paceDev   = flag.Bool("pace-device", false, "occupy the modelled NPU for each batch's device latency")
 
 		online        = flag.String("online", "", "model name to continually train on visited states (empty: off)")
 		onlineDir     = flag.String("online-dir", "", "sample-log directory for -online (default <store>/online, required without -store)")
@@ -157,10 +154,9 @@ func run() error {
 		Workers:   *workers,
 		QueueCap:  *queueCap,
 		Batch: serve.BatcherConfig{
-			MaxBatch:   *batchMax,
-			MaxWait:    *batchWait,
-			QueueCap:   *inferCap,
-			PaceDevice: *paceDev,
+			MaxBatch: *batchMax,
+			MaxWait:  *batchWait,
+			QueueCap: *inferCap,
 		},
 		Store:       store,
 		Telemetry:   reg,

@@ -2,8 +2,10 @@
 // and reports the outcome: temperature, QoS violations, CPU-time breakdown
 // and migrations.
 //
-// Techniques: TOP-IL (requires -model from topil-train, or trains a quick
-// one on the fly), TOP-RL (optionally -qtable), GTS/ondemand, GTS/powersave.
+// Techniques (experiments.TechniqueNames): TOP-IL (requires -model from
+// topil-train, or trains a quick one on the fly), TOP-RL (optionally
+// -qtable), and the GTS baselines GTS/ondemand, GTS/powersave,
+// GTS/schedutil and GTS/performance.
 //
 //	topil-sim -technique TOP-IL -model artifacts/model-1.json -jobs 12 -rate 0.1
 //
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -39,7 +42,7 @@ func main() {
 
 func run() error {
 	var (
-		technique = flag.String("technique", "TOP-IL", "TOP-IL | TOP-RL | GTS/ondemand | GTS/powersave")
+		technique = flag.String("technique", "TOP-IL", strings.Join(experiments.TechniqueNames(), " | "))
 		modelPath = flag.String("model", "", "trained IL model JSON (TOP-IL)")
 		qtPath    = flag.String("qtable", "", "pretrained Q-table (TOP-RL)")
 		jobs      = flag.Int("jobs", 12, "number of applications")

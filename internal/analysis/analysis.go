@@ -176,19 +176,6 @@ type Package struct {
 // analysed in parallel (one worker per CPU); the whole-program call graph
 // is built once up front when any analyzer requests it.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	perPkg := runAll(pkgs, analyzers, nil)
-	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
-	}
-	finalize(diags)
-	return diags
-}
-
-// runAll fans the per-package work out over the CPUs and returns raw
-// (absolute-position) diagnostics per package. skip[i] marks packages the
-// caller already has results for (cache hits) — those are left nil.
-func runAll(pkgs []*Package, analyzers []*Analyzer, skip []bool) [][]Diagnostic {
 	var prog *Program
 	for _, a := range analyzers {
 		if a.NeedsProgram {
@@ -215,21 +202,24 @@ func runAll(pkgs []*Package, analyzers []*Analyzer, skip []bool) [][]Diagnostic 
 				if i >= len(pkgs) {
 					return
 				}
-				if skip != nil && skip[i] {
-					continue
-				}
 				perPkg[i] = runPackage(pkgs[i], analyzers, prog)
 			}
 		}()
 	}
 	wg.Wait()
-	return perPkg
+
+	var diags []Diagnostic
+	for _, d := range perPkg {
+		diags = append(diags, d...)
+	}
+	finalize(diags)
+	return diags
 }
 
 // runPackage applies the suite to one package, resolving suppression
 // directives. Positions are left absolute; finalize relativizes them.
 func runPackage(pkg *Package, analyzers []*Analyzer, prog *Program) []Diagnostic {
-	diags := []Diagnostic{} // non-nil: an empty result is a valid cache entry
+	var diags []Diagnostic
 	used := make([]bool, len(pkg.ignores))
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog}

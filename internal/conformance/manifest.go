@@ -10,7 +10,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/governor"
+	"repro/internal/experiments"
+	"repro/internal/npu"
 	"repro/internal/workload"
 )
 
@@ -64,10 +65,10 @@ type Scenario struct {
 	// InstrScale scales application lengths (default 0.1).
 	InstrScale float64 `json:"instrScale,omitempty"`
 
-	// Techniques lists the policies to run (see TechniqueNames).
+	// Techniques lists the policies to run (see experiments.TechniqueNames).
 	Techniques []string `json:"techniques"`
 	// Backends lists the inference backends for techniques that infer
-	// (TOP-IL): "npu", "cpu", "fp16". Default ["npu"]. Techniques
+	// (TOP-IL), by npu.BackendNames name. Default ["npu"]. Techniques
 	// without an inference step run once with backend "-".
 	Backends []string `json:"backends,omitempty"`
 
@@ -103,17 +104,6 @@ type Package struct {
 
 // File returns the package's manifest path.
 func (p *Package) File() string { return filepath.Join(p.Dir, "manifest.json") }
-
-// TechniqueNames lists the policies a scenario may run: the two learned
-// techniques plus every named GTS baseline.
-func TechniqueNames() []string {
-	return append([]string{"TOP-IL", "TOP-RL"}, governor.GTSNames()...)
-}
-
-// BackendNames lists the inference backends a scenario may select: the
-// modelled NPU, the CPU fallback (the paper's no-accelerator ablation),
-// and the fp16-quantized model on the NPU.
-func BackendNames() []string { return []string{"npu", "cpu", "fp16"} }
 
 // MetricNames lists the envelope metrics, sorted.
 func MetricNames() []string {
@@ -303,8 +293,8 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 		}
 	}
 
-	techniques := toSet(TechniqueNames())
-	backends := toSet(BackendNames())
+	techniques := toSet(experiments.TechniqueNames())
+	backends := toSet(npu.BackendNames())
 	seen := map[string]bool{}
 	for si := range m.Scenarios {
 		sc := &m.Scenarios[si]
@@ -337,7 +327,7 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 		scTechniques := map[string]bool{}
 		for _, tech := range sc.Techniques {
 			if !techniques[tech] {
-				add(path, "unknown technique %q (have %s)", tech, strings.Join(TechniqueNames(), ", "))
+				add(path, "unknown technique %q (have %s)", tech, strings.Join(experiments.TechniqueNames(), ", "))
 			}
 			if scTechniques[tech] {
 				add(path, "duplicate technique %q", tech)
@@ -347,7 +337,7 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 		scBackends := map[string]bool{"*": true, "-": true}
 		for _, b := range sc.Backends {
 			if !backends[b] {
-				add(path, "unknown backend %q (have %s)", b, strings.Join(BackendNames(), ", "))
+				add(path, "unknown backend %q (have %s)", b, strings.Join(npu.BackendNames(), ", "))
 			}
 			scBackends[b] = true
 		}

@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/npu"
 )
 
 // goodManifest is a minimal valid package manifest used as the base of the
@@ -330,10 +333,10 @@ func TestLoadPackageAndDir(t *testing.T) {
 }
 
 func TestNameCatalogs(t *testing.T) {
-	if got := TechniqueNames(); len(got) != 6 || got[0] != "TOP-IL" {
+	if got := experiments.TechniqueNames(); len(got) != 6 || got[0] != "TOP-IL" {
 		t.Fatalf("TechniqueNames = %v", got)
 	}
-	if got := BackendNames(); len(got) != 3 {
+	if got := npu.BackendNames(); len(got) != 3 {
 		t.Fatalf("BackendNames = %v", got)
 	}
 	metrics := MetricNames()

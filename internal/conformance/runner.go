@@ -135,7 +135,7 @@ func cellBackends(technique string, backends []string) []string {
 
 // runCell executes one simulation cell and reduces it to the metric map.
 func runCell(p *experiments.Pipeline, c cell) (map[string]float64, error) {
-	mgr, err := p.ManagerOn(c.technique, 0, cellManagerBackend(c))
+	mgr, err := p.ManagerOn(c.technique, 0, c.backend)
 	if err != nil {
 		return nil, err
 	}
@@ -156,15 +156,6 @@ func runCell(p *experiments.Pipeline, c cell) (map[string]float64, error) {
 	e.AddJobs(jobs)
 	r := e.RunUntil(mgr, c.sc.DurationSec, e.Done)
 	return metricsOf(r), nil
-}
-
-// cellManagerBackend maps the report-level backend label to ManagerOn's
-// argument ("-" marks a technique without an inference step).
-func cellManagerBackend(c cell) string {
-	if c.technique == "TOP-IL" {
-		return c.backend
-	}
-	return "-"
 }
 
 // metricsOf reduces a sim result to the envelope metric map (see

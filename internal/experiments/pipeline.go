@@ -314,6 +314,12 @@ func cloneQTable(t *rl.QTable) *rl.QTable {
 	return c
 }
 
+// TechniqueNames lists every technique Manager resolves: the two learned
+// techniques plus every named GTS baseline.
+func TechniqueNames() []string {
+	return append([]string{"TOP-IL", "TOP-RL"}, governor.GTSNames()...)
+}
+
 // Manager instantiates a technique for one run. seedIdx selects the model /
 // Q-table (and RNG seed for RL).
 func (p *Pipeline) Manager(technique string, seedIdx int) (sim.Manager, error) {
@@ -337,6 +343,31 @@ func (p *Pipeline) Manager(technique string, seedIdx int) (sim.Manager, error) {
 		}
 		return nil, fmt.Errorf("experiments: unknown technique %q", technique)
 	}
+}
+
+// ManagerOn instantiates a technique like Manager, additionally selecting
+// TOP-IL's inference backend by npu.ByName name. The empty backend and "-"
+// select the default NPU. Techniques without an inference step (TOP-RL
+// and the governors) accept only those two; a concrete device for them is
+// a configuration error, not a silent no-op.
+func (p *Pipeline) ManagerOn(technique string, seedIdx int, backend string) (sim.Manager, error) {
+	if backend == "" || backend == "-" {
+		return p.Manager(technique, seedIdx)
+	}
+	if technique != "TOP-IL" {
+		return nil, fmt.Errorf("experiments: %s has no inference step (backend %q requested)",
+			technique, backend)
+	}
+	models, err := p.Models()
+	if err != nil {
+		return nil, err
+	}
+	b, ok := npu.ByName(backend, models[seedIdx])
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown inference backend %q (have %v)",
+			backend, npu.BackendNames())
+	}
+	return core.New(b, core.DefaultConfig()), nil
 }
 
 // PeakIPS exposes the performance model's peak-IPS helper for workload

@@ -173,6 +173,26 @@ func (c *CPUBackend) Latency(batchSize int) time.Duration {
 	return c.CallOverhead + time.Duration(per*float64(batchSize)*float64(time.Second))
 }
 
+// BackendNames lists the inference backends ByName builds: the modelled
+// NPU (the paper's accelerator), the CPU fallback (the paper's
+// no-accelerator ablation), and the fp16-quantized model on the NPU.
+func BackendNames() []string { return []string{"npu", "cpu", "fp16"} }
+
+// ByName builds the named backend (see BackendNames) over model; ok is
+// false for an unknown name. "fp16" quantizes a copy, so model stays
+// untouched and safe to share between concurrent callers.
+func ByName(name string, model *nn.MLP) (b Backend, ok bool) {
+	switch name {
+	case "npu":
+		return New(model), true
+	case "cpu":
+		return NewCPU(model), true
+	case "fp16":
+		return New(QuantizeFP16(model)), true
+	}
+	return nil, false
+}
+
 // Validate checks that a backend produces outputs identical to the host
 // model for the given probe inputs — the acceptance test the paper's
 // deployment would run against the HiAI-converted model.

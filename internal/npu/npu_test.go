@@ -1,6 +1,7 @@
 package npu
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -112,6 +113,36 @@ func TestValidateDetectsMismatch(t *testing.T) {
 	b := nn.NewMLP([]int{21, 8, 8}, 2) // different weights
 	if err := Validate(New(a), b, batch(3, 21)); err == nil {
 		t.Error("Validate accepted mismatched models")
+	}
+}
+
+// TestByName builds every listed backend and checks that each serves the
+// model's outputs (fp16 within its quantization band) without touching
+// the shared model.
+func TestByName(t *testing.T) {
+	m := model(t)
+	orig := m.Clone()
+	in := batch(2, 21)
+	want := m.PredictBatch(in)
+	for _, name := range BackendNames() {
+		b, ok := ByName(name, m)
+		if !ok {
+			t.Fatalf("ByName(%q) failed", name)
+		}
+		got := b.Infer(in)
+		for i := range want {
+			for o := range want[i] {
+				if d := math.Abs(got[i][o] - want[i][o]); d > 0.05 {
+					t.Errorf("%s: row %d output %d off by %g", name, i, o, d)
+				}
+			}
+		}
+	}
+	if err := Validate(New(m), orig, in); err != nil {
+		t.Errorf("fp16 backend mutated the shared model: %v", err)
+	}
+	if _, ok := ByName("quantum", m); ok {
+		t.Error("ByName accepted an unknown backend")
 	}
 }
 

@@ -38,15 +38,6 @@ type BatcherConfig struct {
 	// the queue fills, and Submit starts rejecting: end-to-end
 	// backpressure instead of unbounded dispatch goroutines.
 	MaxInflight int
-	// PaceDevice, when set, holds a batch's device slot for the modelled
-	// device latency of the invocation: the batcher then behaves like a
-	// replica that owns a real accelerator whose invocations occupy the
-	// device, so MaxInflight bounds genuine device-level concurrency and
-	// per-replica throughput saturates at the device's service rate.
-	// Serving benchmarks enable this so replica counts are meaningful on
-	// one machine; off by default (pure-compute batches, the historical
-	// behaviour).
-	PaceDevice bool
 	// Registry receives the batcher's metric families (serve_batcher_*),
 	// labelled by Name. Nil gets a private registry, so Stats works for
 	// standalone batchers.
@@ -392,16 +383,9 @@ func (b *Batcher) flush(batch []batchReq, full bool) {
 			ins[i] = r.in
 		}
 		outs, err := b.runBatch(be, ins)
-		modelled := be.Latency(len(batch))
 		var dev time.Duration
 		if err == nil {
-			dev = modelled
-		}
-		if b.cfg.PaceDevice {
-			// Occupy the device for the modelled invocation cost before
-			// results are delivered or the slot is released — the real
-			// accelerator's timeline.
-			time.Sleep(modelled)
+			dev = be.Latency(len(batch))
 		}
 		rowErrs := 0
 		for i, r := range batch {

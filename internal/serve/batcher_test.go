@@ -105,10 +105,12 @@ func TestBatcherCoalesces(t *testing.T) {
 		clients, calls, st.LargestBatch, st.MeanBatch)
 }
 
-// TestBatcherFlushesOnTimer checks a lone request is not held past MaxWait.
+// TestBatcherFlushesOnTimer checks a lone request is not held past MaxWait
+// and reports the device's modelled latency for its batch.
 func TestBatcherFlushesOnTimer(t *testing.T) {
 	m := testModel(t)
-	b := NewBatcher(npu.New(m), m.InputDim(), BatcherConfig{
+	dev := npu.New(m)
+	b := NewBatcher(dev, m.InputDim(), BatcherConfig{
 		MaxBatch: 16,
 		MaxWait:  time.Millisecond,
 		QueueCap: 4,
@@ -124,39 +126,11 @@ func TestBatcherFlushesOnTimer(t *testing.T) {
 	if info.BatchSize != 1 {
 		t.Errorf("batch size %d, want 1", info.BatchSize)
 	}
+	if info.DeviceLatency != dev.Latency(1) {
+		t.Errorf("reported device latency %v, want the modelled %v", info.DeviceLatency, dev.Latency(1))
+	}
 	if st := b.Stats(); st.FlushTimer != 1 {
 		t.Errorf("flushTimer = %d, want 1", st.FlushTimer)
-	}
-}
-
-// TestBatcherPaceDevice pins the pacing semantics: with PaceDevice the
-// wall-clock of a submission is at least the modelled device latency, which
-// is also the reported DeviceLatency.
-func TestBatcherPaceDevice(t *testing.T) {
-	m := testModel(t)
-	dev := npu.New(m)
-	base := dev.Latency(1)
-	b := NewBatcher(dev, m.InputDim(), BatcherConfig{
-		MaxBatch:    4,
-		MaxWait:     time.Millisecond,
-		QueueCap:    8,
-		MaxInflight: 1,
-		PaceDevice:  true,
-	})
-	defer b.Close()
-
-	start := time.Now()
-	_, info, err := b.Submit(context.Background(), testInputs(1, 5)[0])
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.DeviceLatency != base {
-		t.Errorf("reported device latency %v, want the modelled %v", info.DeviceLatency, base)
-	}
-	// The paced sleep holds results back for the modelled cost.
-	if elapsed < base {
-		t.Errorf("paced submit returned in %v, below the modelled device cost %v", elapsed, base)
 	}
 }
 

@@ -40,8 +40,9 @@ type SimRequest struct {
 	Policy string `json:"policy"`
 	// Model names the registry model for TOP-IL (required for TOP-IL).
 	Model string `json:"model,omitempty"`
-	// Backend selects TOP-IL's inference device: "npu" (default) or "cpu"
-	// (the paper's no-accelerator ablation).
+	// Backend selects TOP-IL's inference device by npu.BackendNames name:
+	// "npu" (default), "cpu" (the paper's no-accelerator ablation) or
+	// "fp16" (the fp16-quantized model on the NPU).
 	Backend string `json:"backend,omitempty"`
 
 	// Duration is the simulated time in seconds (default 60).
@@ -93,7 +94,7 @@ func (r SimRequest) validate() error {
 		if r.Model == "" {
 			return fmt.Errorf("serve: policy TOP-IL requires a model name")
 		}
-		if r.Backend != "npu" && r.Backend != "cpu" {
+		if !slices.Contains(npu.BackendNames(), r.Backend) {
 			return fmt.Errorf("serve: unknown inference backend %q", r.Backend)
 		}
 	default:
@@ -732,11 +733,9 @@ func (r *Runner) manager(req SimRequest, cfg sim.Config) (sim.Manager, error) {
 			return nil, fmt.Errorf("serve: model %q is %d->%d, platform needs %d->%d",
 				req.Model, model.InputDim(), model.OutputDim(), wantIn, plat.NumCores())
 		}
-		var backend npu.Backend
-		if req.Backend == "cpu" {
-			backend = npu.NewCPU(model)
-		} else {
-			backend = npu.New(model)
+		backend, ok := npu.ByName(req.Backend, model)
+		if !ok {
+			return nil, fmt.Errorf("serve: unknown inference backend %q", req.Backend)
 		}
 		cc := core.DefaultConfig()
 		if fn := r.getObserve(); fn != nil {

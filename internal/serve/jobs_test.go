@@ -67,6 +67,8 @@ func TestRunnerGovernorJob(t *testing.T) {
 	}
 }
 
+// TestRunnerTOPILJobWithManifest runs a TOP-IL job on every inference
+// backend POST /v1/sim accepts.
 func TestRunnerTOPILJobWithManifest(t *testing.T) {
 	dir := t.TempDir()
 	// features.Dim(8 cores, 2 clusters) = 21 inputs, 8 core ratings out.
@@ -75,28 +77,33 @@ func TestRunnerTOPILJobWithManifest(t *testing.T) {
 	defer r.Shutdown(context.Background())
 
 	spec, _ := workload.ByName(workload.MixedPool()[0])
-	req := SimRequest{
-		Policy:   "TOP-IL",
-		Model:    "model-1",
-		Duration: 2,
-		Jobs: []workload.JobEntry{
-			{Name: spec.Name, TotalInstr: spec.TotalInstr * 0.01, QoS: 1e8, Arrival: 0},
-			{Name: spec.Name, TotalInstr: spec.TotalInstr * 0.01, QoS: 1e8, Arrival: 0.5},
-		},
-	}
-	snap, err := r.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, r, snap.ID, 30*time.Second)
-	if final.State != StateDone {
-		t.Fatalf("job ended %q (%s)", final.State, final.Error)
-	}
-	if final.Result.Technique != "TOP-IL" {
-		t.Errorf("technique %q", final.Result.Technique)
-	}
-	if len(final.Result.Apps) != 2 {
-		t.Errorf("%d app results, want 2", len(final.Result.Apps))
+	for _, backend := range []string{"npu", "cpu", "fp16"} {
+		t.Run(backend, func(t *testing.T) {
+			req := SimRequest{
+				Policy:   "TOP-IL",
+				Model:    "model-1",
+				Backend:  backend,
+				Duration: 2,
+				Jobs: []workload.JobEntry{
+					{Name: spec.Name, TotalInstr: spec.TotalInstr * 0.01, QoS: 1e8, Arrival: 0},
+					{Name: spec.Name, TotalInstr: spec.TotalInstr * 0.01, QoS: 1e8, Arrival: 0.5},
+				},
+			}
+			snap, err := r.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, r, snap.ID, 30*time.Second)
+			if final.State != StateDone {
+				t.Fatalf("job ended %q (%s)", final.State, final.Error)
+			}
+			if final.Result.Technique != "TOP-IL" {
+				t.Errorf("technique %q", final.Result.Technique)
+			}
+			if len(final.Result.Apps) != 2 {
+				t.Errorf("%d app results, want 2", len(final.Result.Apps))
+			}
+		})
 	}
 }
 

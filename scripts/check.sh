@@ -244,15 +244,21 @@ echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
 go vet ./...
+# perfbench is its own module (replace repro => ../), so the root vet never
+# sees it; vet it here so an internal API change that breaks the benchmark
+# fails the gate. vet, not build: build writes a binary into perfbench/.
+echo "== go vet ./... (perfbench)"
+(cd perfbench && go vet ./...)
 echo "== topil-lint ./..."
 # Findings fail the build (exit 3); on a clean tree the JSON envelope's
-# analysis_wall_seconds must stay inside the wall-clock budget — the
-# per-package result cache (keyed on file content hashes) keeps warm
-# re-runs near-instant, so a blown budget means the engine regressed.
+# analysis_wall_seconds must stay inside the wall-clock budget. A full
+# analysis of the repository takes well under a second of it (package
+# loading is timed separately), so a blown budget means the engine
+# regressed.
 lint_budget=60
 lint_out=$(mktemp)
 go run ./cmd/topil-lint -json ./... >"$lint_out" || {
-    go run ./cmd/topil-lint -cache=false ./... || true
+    go run ./cmd/topil-lint ./... || true
     rm -f "$lint_out"
     echo "topil-lint: findings (or failure) — see above"
     exit 1
