@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -332,6 +333,32 @@ func BenchmarkNNInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Predict(x)
+	}
+}
+
+// BenchmarkNNTrain measures a 30-epoch fit of the paper's 4×64 topology
+// on 300 rows whose features are 60 % exact zeros, the shape of an online
+// retraining round.
+func BenchmarkNNTrain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var train nn.Dataset
+	for r := 0; r < 300; r++ {
+		x, y := make([]float64, 21), make([]float64, 8)
+		for i := range x {
+			if rng.Float64() >= 0.6 {
+				x[i] = rng.NormFloat64()
+			}
+		}
+		y[rng.Intn(8)] = 1
+		train.X, train.Y = append(train.X, x), append(train.Y, y)
+	}
+	cfg := nn.TrainConfig{MaxEpochs: 30, Patience: 30, Seed: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := nn.NewMLP(nn.PaperTopology(21, 8), 1)
+		if _, err := m.Train(train, nn.Dataset{}, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 
 // TestConcurrentPredict hammers one shared model with Predict and
 // PredictBatch from many goroutines and checks every result against a
-// single-threaded baseline. Run with -race: it is the executable form of
-// the package's concurrency guarantee (forward passes are read-only), which
-// the serve batcher depends on.
+// single-threaded baseline. The batches have odd sizes, so both the
+// four-row blocks and the one-row remainder run. Run with -race: it is the
+// executable form of the package's concurrency guarantee (forward passes
+// are read-only), which the serve batcher depends on.
 func TestConcurrentPredict(t *testing.T) {
 	m := NewMLP([]int{21, 64, 64, 8}, 1)
 	rng := rand.New(rand.NewSource(2))
@@ -37,19 +38,28 @@ func TestConcurrentPredict(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % nInputs
-				var got []float64
+				var rows []int
+				var got [][]float64
 				if r%2 == 0 {
-					got = m.Predict(inputs[i])
+					rows = []int{i}
+					got = [][]float64{m.Predict(inputs[i])}
 				} else {
-					got = m.PredictBatch(inputs[i : i+1])[0]
+					var batch [][]float64
+					for k := 0; k < 1+2*((g+r)%5); k++ { // 1, 3, 5, 7 or 9 rows
+						rows = append(rows, (i+k)%nInputs)
+						batch = append(batch, inputs[(i+k)%nInputs])
+					}
+					got = m.PredictBatch(batch)
 				}
-				for o := range want[i] {
-					if got[o] != want[i][o] {
-						select {
-						case errCh <- "concurrent Predict diverged from baseline":
-						default:
+				for k, j := range rows {
+					for o := range want[j] {
+						if got[k][o] != want[j][o] {
+							select {
+							case errCh <- "concurrent Predict diverged from baseline":
+							default:
+							}
+							return
 						}
-						return
 					}
 				}
 			}

@@ -60,7 +60,8 @@ func TestSeededInitDeterministic(t *testing.T) {
 	}
 }
 
-// numericalGradientCheck verifies backprop against finite differences.
+// TestBackpropGradientCheck verifies the training kernel's gradients
+// against finite differences.
 func TestBackpropGradientCheck(t *testing.T) {
 	m := NewMLP([]int{3, 5, 2}, 3)
 	x := []float64{0.5, -1.2, 0.8}
@@ -68,7 +69,7 @@ func TestBackpropGradientCheck(t *testing.T) {
 
 	gw := [][]float64{make([]float64, len(m.weights[0])), make([]float64, len(m.weights[1]))}
 	gb := [][]float64{make([]float64, len(m.biases[0])), make([]float64, len(m.biases[1]))}
-	m.backprop(x, y, gw, gb)
+	newWorkspace(m.sizes, 1).step(m, [][]float64{x}, [][]float64{y}, []int{0}, gw, gb)
 
 	loss := func() float64 {
 		out := m.Predict(x)
@@ -220,6 +221,8 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		`{"sizes":[2],"weights":[],"biases":[]}`,
 		`{"sizes":[2,3],"weights":[[1,2,3]],"biases":[[1,2,3]]}`, // wrong weight count
 		`{"sizes":[2,3],"weights":[[1,2,3,4,5,6]],"biases":[[1]]}`,
+		`{"sizes":[2,0,3],"weights":[[],[]],"biases":[[],[0,0,0]]}`, // zero width
+		`{"sizes":[-2,0],"weights":[[]],"biases":[[]]}`,             // negative width
 		`not json`,
 	}
 	for _, c := range cases {

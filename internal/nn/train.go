@@ -167,6 +167,7 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	adam := newAdamState(m)
+	ws := newWorkspace(m.sizes, min(cfg.BatchSize, max(train.Len(), val.Len())))
 	gw := make([][]float64, len(m.weights))
 	gb := make([][]float64, len(m.weights))
 	for l := range m.weights {
@@ -195,14 +196,7 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 			if endIdx > len(order) {
 				endIdx = len(order)
 			}
-			for l := range gw {
-				clearSlice(gw[l])
-				clearSlice(gb[l])
-			}
-			batchLoss := 0.0
-			for _, i := range order[start:endIdx] {
-				batchLoss += m.backprop(train.X[i], train.Y[i], gw, gb)
-			}
+			batchLoss := ws.step(m, train.X, train.Y, order[start:endIdx], gw, gb)
 			n := float64(endIdx - start)
 			for l := range gw {
 				scaleSlice(gw[l], 1/n)
@@ -227,7 +221,7 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 
 		valLoss := epochLoss
 		if val.Len() > 0 {
-			valLoss = m.Loss(val)
+			valLoss = ws.loss(m, val)
 		}
 		res.TrainHistory = append(res.TrainHistory, epochLoss)
 		res.ValHistory = append(res.ValHistory, valLoss)
@@ -254,22 +248,16 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 	return res, nil
 }
 
-// Loss returns the mean MSE of the model over the dataset.
+// Loss returns the mean MSE of the model over the dataset. It panics if an
+// input's dimension does not match the network's input layer.
 func (m *MLP) Loss(d Dataset) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
-	total := 0.0
-	for i := range d.X {
-		out := m.Predict(d.X[i])
-		s := 0.0
-		for o := range out {
-			diff := out[o] - d.Y[i][o]
-			s += diff * diff
-		}
-		total += s / float64(len(out))
+	for _, x := range d.X {
+		m.checkInput(x)
 	}
-	return total / float64(d.Len())
+	return newWorkspace(m.sizes, min(d.Len(), TrainConfig{}.defaults().BatchSize)).loss(m, d)
 }
 
 // clipGradients rescales all gradients so their global L2 norm is at most

@@ -188,7 +188,7 @@ func (a *appState) pushWindow(ips, l2d float64) {
 // Engine is one simulation instance. Create with New, add jobs, then Run.
 type Engine struct {
 	cfg  Config
-	rng  *rand.Rand
+	rng  *rand.Rand // sensor noise, seeded from cfg.Seed on the first noisy read
 	env  *Env
 	mets *collector
 
@@ -283,7 +283,6 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:          cfg,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		freqIdx:      make([]int, cfg.Platform.NumClusters()),
 		dtmCap:       make([]int, cfg.Platform.NumClusters()),
 		byCore:       make([][]AppID, cfg.Platform.NumCores()),
@@ -697,6 +696,11 @@ func (e *Engine) readSensor() float64 {
 		}
 	}
 	if e.cfg.SensorNoise > 0 {
+		if e.rng == nil {
+			// Seeding costs about 10 µs, and noiseless engines (the oracle
+			// builds several per labeled state) never need the RNG.
+			e.rng = rand.New(rand.NewSource(e.cfg.Seed))
+		}
 		m += e.rng.NormFloat64() * e.cfg.SensorNoise
 	}
 	return m

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/perf"
@@ -388,4 +389,33 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		e := New(DefaultConfig(true, 25))
 		e.AddJob(workload.Job{})
 	})
+}
+
+// TestSensorNoiseMatchesEagerSeed pins the lazily seeded sensor-noise RNG:
+// a noisy engine's readings are the hottest core plus the draws of an RNG
+// seeded from cfg.Seed up front, and a noiseless engine never seeds one.
+func TestSensorNoiseMatchesEagerSeed(t *testing.T) {
+	cfg := DefaultConfig(true, 25)
+	cfg.Seed = 42
+	cfg.SensorNoise = 0.5
+	e := New(cfg)
+	eager := rand.New(rand.NewSource(cfg.Seed))
+	temps := cfg.Thermal.TempsView()
+	hottest := temps[0]
+	for c := 1; c < cfg.Platform.NumCores(); c++ {
+		hottest = math.Max(hottest, temps[c])
+	}
+	for k := 0; k < 100; k++ {
+		want := hottest + eager.NormFloat64()*cfg.SensorNoise
+		if got := e.readSensor(); got != want {
+			t.Fatalf("reading %d = %v, want %v", k, got, want)
+		}
+	}
+
+	quiet := New(DefaultConfig(true, 25))
+	quiet.AddJob(job(t, "swaptions", 1e8, 0, 1e18))
+	quiet.Run(&fixedManager{little: 2, big: 2}, 1)
+	if quiet.rng != nil {
+		t.Error("noiseless engine seeded a sensor-noise RNG")
+	}
 }

@@ -281,9 +281,11 @@ echo "== coverage gate"
 ./scripts/coverage_gate.sh
 echo "== hot-path allocation gate (0 allocs/op)"
 # The //hot annotations are gated statically by topil-lint's hotalloc pass;
-# this is the dynamic counterpart on the two per-tick kernels, so an
-# allocation that sneaks past escape-analysis reasoning still fails here.
-for spec in "./internal/thermal BenchmarkNetworkStep" ". BenchmarkEngineTick"; do
+# this is the dynamic counterpart on the two per-tick kernels and on one
+# warm-workspace training minibatch, so an allocation that sneaks past
+# escape-analysis reasoning still fails here.
+for spec in "./internal/thermal BenchmarkNetworkStep" ". BenchmarkEngineTick" \
+    "./internal/nn BenchmarkNNTrainStep"; do
     pkg=${spec% *}; bench=${spec#* }
     line=$(go test -run '^$' -bench "^${bench}\$" -benchmem -benchtime 200x "$pkg" \
         | grep "^${bench}") || { echo "alloc gate: $bench did not run"; exit 1; }
