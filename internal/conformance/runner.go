@@ -1,3 +1,13 @@
+// Package conformance implements the repository's packaged
+// conformance-and-regression pipeline: declarative test packages — a
+// versioned manifest naming scenarios (app mix, technique, backend, fan
+// mode) and golden metric envelopes (peak temperature, QoS violations,
+// energy within explicit tolerance bands per technique × backend) — plus a
+// runner that executes packages against any policy on any backend and
+// emits a deterministic pass/fail report, and live checks of the /v1 wire
+// contract against a serve instance. cmd/topil-validate drives it via the
+// -packages flag; `make conformance` is the regression gate. See
+// docs/CONFORMANCE.md.
 package conformance
 
 import (
