@@ -40,12 +40,12 @@ func validateBinary(t *testing.T) string {
 // govManifest is a governor-only package: no trained artifacts, no API
 // checks, so the smoke tests stay fast and offline.
 const govManifest = `{
-  "schemaVersion": 1,
+  "schemaVersion": 2,
   "name": "smoke",
   "scenarios": [
     {
       "name": "quick",
-      "durationSec": 60,
+      "duration": 60,
       "numJobs": 3,
       "rate": 1,
       "instrScale": 0.02,

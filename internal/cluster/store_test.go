@@ -85,6 +85,33 @@ func TestJournalGolden(t *testing.T) {
 	if string(data) != want {
 		t.Fatalf("journal bytes drifted:\n got %q\nwant %q", data, want)
 	}
+
+	// The queued record carries the request as the runner stored it, with
+	// every default filled in; replaying it must reproduce the same run.
+	dir = t.TempDir()
+	if s, err = OpenJournalStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	r := serve.NewRunner(serve.NewRegistry(t.TempDir()), 1, 1, nil, s)
+	if _, err := r.SubmitID("g-2", serve.SimRequest{Policy: "GTS/ondemand"}); err != nil {
+		t.Fatal(err)
+	}
+	r.Shutdown(context.Background())
+	s.Close()
+	if data, err = os.ReadFile(filepath.Join(dir, journalName)); err != nil {
+		t.Fatal(err)
+	}
+	const wantQueued = `c2368536 {"id":"g-2","state":"queued","req":{"policy":"GTS/ondemand",` +
+		`"backend":"npu","duration":60,"seed":1,"numJobs":8,"rate":0.1,"instrScale":0.1}}`
+	var queued string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.Contains(line, `"state":"queued"`) {
+			queued = line
+		}
+	}
+	if queued != wantQueued {
+		t.Fatalf("queued journal bytes drifted:\n got %q\nwant %q", queued, wantQueued)
+	}
 }
 
 func TestJournalStoreTornTail(t *testing.T) {

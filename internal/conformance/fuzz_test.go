@@ -17,8 +17,8 @@ func FuzzPackageManifest(f *testing.F) {
 	f.Add([]byte(goodManifest))
 	f.Add([]byte(goodManifest[:len(goodManifest)/3]))
 	f.Add([]byte(`{"schemaVersion": 42, "name": "x", "scenarios": []}`))
-	f.Add([]byte(`{"schemaVersion": 1, "name": "b", "scenarios": [{"name": "s",
-		"durationSec": 5, "techniques": ["TOP-RL"], "envelopes": [
+	f.Add([]byte(`{"schemaVersion": 2, "name": "b", "scenarios": [{"name": "s",
+		"duration": 5, "techniques": ["TOP-RL"], "envelopes": [
 		{"metric": "energyJ", "technique": "TOP-RL", "min": 9, "max": 1, "boundary": "b"}]}]}`))
 	f.Add([]byte("{}"))
 	f.Add([]byte("null"))

@@ -6,20 +6,20 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/npu"
+	"repro/internal/scenario"
 )
 
 // goodManifest is a minimal valid package manifest used as the base of the
 // negative-path table; each test case perturbs one aspect of it.
 const goodManifest = `{
-  "schemaVersion": 1,
+  "schemaVersion": 2,
   "name": "demo",
   "description": "negative-path base",
   "scenarios": [
     {
       "name": "quick",
-      "durationSec": 10,
+      "duration": 10,
       "techniques": ["GTS/ondemand"],
       "envelopes": [
         {
@@ -43,12 +43,13 @@ func TestParseManifestAcceptsGood(t *testing.T) {
 	if m.Name != "demo" || len(m.Scenarios) != 1 {
 		t.Fatalf("decoded manifest %+v", m)
 	}
-	sc := m.Scenarios[0].withDefaults()
-	if sc.Seed != 1 || sc.NumJobs != 8 || len(sc.Backends) != 1 || sc.Backends[0] != "npu" {
-		t.Fatalf("withDefaults = %+v", sc)
+	sc := m.Scenarios[0]
+	if b := sc.backends(); len(b) != 1 || b[0] != "npu" {
+		t.Fatalf("backends = %v, want the npu default", b)
 	}
-	if !sc.fan() {
-		t.Fatal("fan should default to true")
+	run := sc.run("GTS/ondemand", "-")
+	if run.Policy != "GTS/ondemand" || run.Duration != 10 || run.Seed != 1 || run.NumJobs != 8 {
+		t.Fatalf("cell run = %+v", run)
 	}
 }
 
@@ -77,9 +78,9 @@ func TestParseManifestNegativePaths(t *testing.T) {
 		},
 		{
 			name: "unknown-schema-version",
-			old:  `"schemaVersion": 1`,
+			old:  `"schemaVersion": 2`,
 			doc:  `"schemaVersion": 99`,
-			want: []string{"unknown schema version 99", "reads version 1"},
+			want: []string{"unknown schema version 99", "reads version 2"},
 		},
 		{
 			name: "bad-package-name",
@@ -88,11 +89,23 @@ func TestParseManifestNegativePaths(t *testing.T) {
 			want: []string{`package name "Demo Pkg" must be non-empty lowercase`},
 		},
 		{
+			name: "dot-package-name",
+			old:  `"name": "demo"`,
+			doc:  `"name": ".."`,
+			want: []string{`package name ".." must be non-empty lowercase`},
+		},
+		{
+			name: "dot-scenario-name",
+			old:  `"name": "quick"`,
+			doc:  `"name": "a.b"`,
+			want: []string{"scenarios[0]", `scenario name "a.b" must be non-empty lowercase`},
+		},
+		{
 			name: "no-scenarios",
 			old: `"scenarios": [
     {
       "name": "quick",
-      "durationSec": 10,
+      "duration": 10,
       "techniques": ["GTS/ondemand"],
       "envelopes": [
         {
@@ -110,29 +123,36 @@ func TestParseManifestNegativePaths(t *testing.T) {
 		},
 		{
 			name: "bad-duration",
-			old:  `"durationSec": 10`,
-			doc:  `"durationSec": -3`,
-			want: []string{"scenarios[0]", "durationSec -3 out of range"},
+			old:  `"duration": 10`,
+			doc:  `"duration": -3`,
+			want: []string{"scenarios[0]", "duration -3 s out of range"},
+		},
+		{
+			// Policy and backend come from techniques and backends.
+			name: "policy-in-scenario",
+			old:  `"duration": 10,`,
+			doc:  `"duration": 10, "policy": "TOP-IL",`,
+			want: []string{"scenarios[0]", "policy, model and backend are set per cell"},
 		},
 		{
 			// There is no kernel choice: a manifest naming one must fail
 			// strict decoding rather than silently run the default.
 			name: "bad-kernel",
-			old:  `"durationSec": 10,`,
-			doc:  `"durationSec": 10, "thermalKernel": "float32",`,
+			old:  `"duration": 10,`,
+			doc:  `"duration": 10, "thermalKernel": "float32",`,
 			want: []string{`manifest.json:1: manifest: json: unknown field "thermalKernel"`},
 		},
 		{
 			name: "bad-ambient",
-			old:  `"durationSec": 10,`,
-			doc:  `"durationSec": 10, "ambientC": 400,`,
+			old:  `"duration": 10,`,
+			doc:  `"duration": 10, "ambientC": 400,`,
 			want: []string{"ambientC 400 implausible"},
 		},
 		{
 			name: "unknown-technique",
 			old:  `"techniques": ["GTS/ondemand"]`,
 			doc:  `"techniques": ["GTS/ondemand", "TOP-XL"]`,
-			want: []string{`unknown technique "TOP-XL"`},
+			want: []string{`unknown policy "TOP-XL"`},
 		},
 		{
 			name: "duplicate-technique",
@@ -148,8 +168,8 @@ func TestParseManifestNegativePaths(t *testing.T) {
 		},
 		{
 			name: "bad-jobs-manifest",
-			old:  `"durationSec": 10,`,
-			doc:  `"durationSec": 10, "jobs": [{"name": "no-such-bench", "totalInstr": 1, "qos": 1, "arrival": 0}],`,
+			old:  `"duration": 10,`,
+			doc:  `"duration": 10, "jobs": [{"name": "no-such-bench", "totalInstr": 1, "qos": 1, "arrival": 0}],`,
 			want: []string{"jobs manifest:", `unknown benchmark "no-such-bench"`},
 		},
 		{
@@ -229,12 +249,12 @@ func TestParseManifestNegativePaths(t *testing.T) {
 // the envelope's.
 func TestDiagnosticLines(t *testing.T) {
 	doc := "{\n" + // line 1
-		`  "schemaVersion": 1,` + "\n" + // 2
+		`  "schemaVersion": 2,` + "\n" + // 2
 		`  "name": "demo",` + "\n" + // 3
 		`  "scenarios": [` + "\n" + // 4
 		`    {` + "\n" + // 5 <- scenarios[0]
 		`      "name": "BAD NAME",` + "\n" + // 6
-		`      "durationSec": 10,` + "\n" + // 7
+		`      "duration": 10,` + "\n" + // 7
 		`      "techniques": ["GTS/ondemand"],` + "\n" + // 8
 		`      "envelopes": [` + "\n" + // 9
 		`        {"metric": "peakTempC", "technique": "GTS/ondemand",` + "\n" + // 10 <- envelopes[0]
@@ -299,7 +319,7 @@ func TestLoadPackageAndDir(t *testing.T) {
 
 	// LoadDir aggregates diagnostics across broken packages instead of
 	// stopping at the first.
-	write("broken-a", strings.Replace(goodManifest, `"name": "demo"`, `"name": "broken-a", "schemaVersion": 2`, 1))
+	write("broken-a", strings.Replace(goodManifest, `"name": "demo"`, `"name": "broken-a", "schemaVersion": 3`, 1))
 	write("broken-b", "{")
 	_, err = LoadDir(root)
 	if err == nil {
@@ -333,8 +353,8 @@ func TestLoadPackageAndDir(t *testing.T) {
 }
 
 func TestNameCatalogs(t *testing.T) {
-	if got := experiments.TechniqueNames(); len(got) != 6 || got[0] != "TOP-IL" {
-		t.Fatalf("TechniqueNames = %v", got)
+	if got := scenario.Names(); len(got) != 6 || got[0] != "TOP-IL" || got[1] != "TOP-RL" {
+		t.Fatalf("scenario.Names = %v", got)
 	}
 	if got := npu.BackendNames(); len(got) != 3 {
 		t.Fatalf("BackendNames = %v", got)

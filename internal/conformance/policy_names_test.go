@@ -2,34 +2,57 @@ package conformance_test
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/conformance"
+	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/governor"
+	"repro/internal/nn"
+	"repro/internal/rl"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
-// TestGTSNamesResolveEverywhere pins the single GTS name table: every name
-// in governor.GTSNames is accepted by conformance manifest validation, and
+// writeModel saves an untrained model of the platform's 21->8 shape.
+func writeModel(t *testing.T, dir, name string) {
+	t.Helper()
+	if err := core.SaveModel(nn.NewMLP([]int{21, 16, 8}, 1), filepath.Join(dir, name+".json")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGTSNamesResolveEverywhere pins the single policy registry: every name
+// in scenario.Names is accepted by conformance manifest validation, and
 // resolves to a manager reporting that same Name() through experiments'
-// Manager and through serve's sim-job runner.
+// Manager and through serve's sim-job runner — except TOP-RL, which serve
+// has no Q-table for and rejects at submit with the registry's error.
 func TestGTSNamesResolveEverywhere(t *testing.T) {
-	names := governor.GTSNames()
-	want := []string{"GTS/ondemand", "GTS/powersave", "GTS/schedutil", "GTS/performance"}
+	names := scenario.Names()
+	want := []string{"TOP-IL", "TOP-RL", "GTS/ondemand", "GTS/powersave", "GTS/schedutil", "GTS/performance"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Fatalf("GTSNames = %v, want %v", names, want)
+		t.Fatalf("Names = %v, want %v", names, want)
+	}
+
+	// One artifact directory serves both sides: the pipeline loads
+	// model-1.json and qtable-1.json.gz instead of training, and the serve
+	// registry finds model-1.json as "model-1".
+	dir := t.TempDir()
+	writeModel(t, dir, "model-1")
+	if err := rl.NewQTable(8).Save(filepath.Join(dir, "qtable-1.json.gz")); err != nil {
+		t.Fatal(err)
 	}
 	p := experiments.NewPipeline(experiments.QuickScale())
-	runner := serve.NewRunner(serve.NewRegistry(t.TempDir()), 2, len(names), nil, nil)
+	p.ArtifactsDir = dir
+	runner := serve.NewRunner(serve.NewRegistry(dir), 2, len(names), nil, nil)
 	defer runner.Shutdown(context.Background())
 
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			doc := `{"schemaVersion": 1, "name": "gts", "scenarios": [{"name": "s",
-				"durationSec": 1, "techniques": ["` + name + `"],
+			doc := `{"schemaVersion": 2, "name": "policies", "scenarios": [{"name": "s",
+				"duration": 1, "techniques": ["` + name + `"],
 				"envelopes": [{"metric": "peakTempC", "technique": "` + name + `",
 				"min": 0, "max": 200, "boundary": "any"}]}]}`
 			if _, diags := conformance.ParseManifest("manifest.json", []byte(doc)); len(diags) > 0 {
@@ -42,8 +65,14 @@ func TestGTSNamesResolveEverywhere(t *testing.T) {
 			}
 
 			snap, err := runner.Submit(serve.SimRequest{
-				Policy: name, Duration: 1, NumJobs: 1, Rate: 2, InstrScale: 0.01,
+				Policy: name, Model: "model-1", Duration: 1, NumJobs: 1, Rate: 2, InstrScale: 0.01,
 			})
+			if name == "TOP-RL" {
+				if err == nil || !strings.Contains(err.Error(), "needs a Q-table") {
+					t.Fatalf("serve submit of TOP-RL = %v, want the registry's Q-table error", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("serve rejects %q: %v", name, err)
 			}

@@ -15,15 +15,15 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // cell is one (package, scenario, technique, backend) simulation to run.
 type cell struct {
-	pkg, scenario      int // indexes into the package/scenario lists
-	technique, backend string
-	sc                 Scenario // scenario with defaults applied
+	pkg, scenario int    // indexes into the package/scenario lists
+	backend       string // report label: "-" for techniques without inference
+	run           scenario.Spec
 }
 
 // Run executes the packages' scenarios on the pipeline's run matrix and,
@@ -35,37 +35,18 @@ type cell struct {
 // seeded — so the report bytes are identical at any Pipeline.Workers
 // setting. With api == nil, requested API checks are reported as skipped
 // (offline run), which keeps the offline report deterministic too.
+// Cells fetch learned artifacts through Pipeline.Source on first use, so
+// governor-only packages never train a model.
 func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *APIConfig) (*Report, error) {
 	var cells []cell
-	needIL, needRL := false, false
 	for pi, pkg := range pkgs {
 		for si, sc := range pkg.Manifest.Scenarios {
-			sc = sc.withDefaults()
 			for _, tech := range sc.Techniques {
-				switch tech {
-				case "TOP-IL":
-					needIL = true
-				case "TOP-RL":
-					needRL = true
-				}
-				for _, backend := range cellBackends(tech, sc.Backends) {
+				for _, backend := range cellBackends(tech, sc.backends()) {
 					cells = append(cells, cell{pkg: pi, scenario: si,
-						technique: tech, backend: backend, sc: sc})
+						backend: backend, run: sc.run(tech, backend)})
 				}
 			}
-		}
-	}
-
-	// Warm only the artifacts the cells actually use: governor-only
-	// packages stay runnable in milliseconds, without training a model.
-	if needIL {
-		if _, err := p.Models(); err != nil {
-			return nil, err
-		}
-	}
-	if needRL {
-		if _, err := p.QTables(); err != nil {
-			return nil, err
 		}
 	}
 
@@ -73,7 +54,7 @@ func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *API
 	for i, c := range cells {
 		c := c
 		tag := fmt.Sprintf("%s/%s/%s[%s]", pkgs[c.pkg].Manifest.Name,
-			c.sc.Name, c.technique, c.backend)
+			pkgs[c.pkg].Manifest.Scenarios[c.scenario].Name, c.run.Policy, c.backend)
 		specs[i] = experiments.RunSpec[map[string]float64]{
 			Tag: tag,
 			Run: func() (map[string]float64, error) { return runCell(p, c) },
@@ -93,7 +74,7 @@ func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *API
 				if c.pkg != pi || c.scenario != si {
 					continue
 				}
-				sr.Cells = append(sr.Cells, CellReport{Technique: c.technique,
+				sr.Cells = append(sr.Cells, CellReport{Technique: c.run.Policy,
 					Backend: c.backend, Metrics: results[ci].Value})
 			}
 			for _, env := range sc.Envelopes {
@@ -143,28 +124,20 @@ func cellBackends(technique string, backends []string) []string {
 	return []string{"-"}
 }
 
-// runCell executes one simulation cell and reduces it to the metric map.
+// runCell executes one simulation cell until its last application
+// finishes (or the duration cap) and reduces it to the metric map.
 func runCell(p *experiments.Pipeline, c cell) (map[string]float64, error) {
-	mgr, err := p.ManagerOn(c.technique, 0, c.backend)
+	cfg, jobs, err := c.run.Build()
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.DefaultConfig(c.sc.fan(), c.sc.AmbientC)
-	cfg.Seed = c.sc.Seed
-	e := sim.New(cfg)
-	var jobs []workload.Job
-	if len(c.sc.Jobs) > 0 {
-		jobs, err = workload.EntriesToJobs(c.sc.Jobs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		gen := workload.NewGenerator(c.sc.Seed, workload.MixedPool(), p.PeakIPS,
-			0.2, 0.7, c.sc.InstrScale)
-		jobs = gen.Generate(c.sc.NumJobs, c.sc.Rate)
+	mgr, err := scenario.NewManager(c.run.Policy, c.run.Backend, p.Source(0))
+	if err != nil {
+		return nil, err
 	}
+	e := sim.New(cfg)
 	e.AddJobs(jobs)
-	r := e.RunUntil(mgr, c.sc.DurationSec, e.Done)
+	r := e.RunUntil(mgr, c.run.Duration, e.Done)
 	return metricsOf(r), nil
 }
 

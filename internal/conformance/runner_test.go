@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 // writeTestPackage materializes a governor-only package (no training, so
@@ -26,12 +27,9 @@ func writeTestPackage(t *testing.T, root, name string, wideBands bool) {
 		SchemaVersion: ManifestVersion,
 		Name:          name,
 		Scenarios: []Scenario{{
-			Name:        "quick",
-			DurationSec: 60,
-			NumJobs:     3,
-			Rate:        1,
-			InstrScale:  0.02,
-			Techniques:  []string{"GTS/ondemand", "GTS/powersave"},
+			Name:       "quick",
+			Spec:       scenario.Spec{Duration: 60, NumJobs: 3, Rate: 1, InstrScale: 0.02},
+			Techniques: []string{"GTS/ondemand", "GTS/powersave"},
 			Envelopes: []Envelope{
 				{Metric: "peakTempC", Technique: "GTS/ondemand", Min: min, Max: max,
 					Boundary: "seed 1, 3 generated jobs, 60s, fan on"},

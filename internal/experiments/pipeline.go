@@ -14,13 +14,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/governor"
 	"repro/internal/nn"
-	"repro/internal/npu"
 	"repro/internal/oracle"
 	"repro/internal/perf"
 	"repro/internal/platform"
 	"repro/internal/rl"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -314,60 +313,33 @@ func cloneQTable(t *rl.QTable) *rl.QTable {
 	return c
 }
 
-// TechniqueNames lists every technique Manager resolves: the two learned
-// techniques plus every named GTS baseline.
-func TechniqueNames() []string {
-	return append([]string{"TOP-IL", "TOP-RL"}, governor.GTSNames()...)
+// Source returns the policy-registry source for seed index seedIdx: the
+// trained model and a private copy of the pretrained Q-table, each built on
+// first use.
+func (p *Pipeline) Source(seedIdx int) scenario.Source {
+	return scenario.Source{
+		Model: func() (*nn.MLP, error) {
+			models, err := p.Models()
+			if err != nil {
+				return nil, err
+			}
+			return models[seedIdx], nil
+		},
+		QTable: func() (*rl.QTable, error) {
+			tables, err := p.QTables()
+			if err != nil {
+				return nil, err
+			}
+			return cloneQTable(tables[seedIdx]), nil
+		},
+		RLSeed: p.Scale.Seeds[seedIdx],
+	}
 }
 
-// Manager instantiates a technique for one run. seedIdx selects the model /
-// Q-table (and RNG seed for RL).
+// Manager instantiates a technique for one run on the default NPU backend.
+// seedIdx selects the model / Q-table (and RNG seed for RL).
 func (p *Pipeline) Manager(technique string, seedIdx int) (sim.Manager, error) {
-	switch technique {
-	case "TOP-IL":
-		models, err := p.Models()
-		if err != nil {
-			return nil, err
-		}
-		return core.New(npu.New(models[seedIdx]), core.DefaultConfig()), nil
-	case "TOP-RL":
-		tables, err := p.QTables()
-		if err != nil {
-			return nil, err
-		}
-		return rl.New(cloneQTable(tables[seedIdx]), rl.DefaultParams(),
-			p.Scale.Seeds[seedIdx]), nil
-	default:
-		if g, ok := governor.NewGTSByName(technique); ok {
-			return g, nil
-		}
-		return nil, fmt.Errorf("experiments: unknown technique %q", technique)
-	}
-}
-
-// ManagerOn instantiates a technique like Manager, additionally selecting
-// TOP-IL's inference backend by npu.ByName name. The empty backend and "-"
-// select the default NPU. Techniques without an inference step (TOP-RL
-// and the governors) accept only those two; a concrete device for them is
-// a configuration error, not a silent no-op.
-func (p *Pipeline) ManagerOn(technique string, seedIdx int, backend string) (sim.Manager, error) {
-	if backend == "" || backend == "-" {
-		return p.Manager(technique, seedIdx)
-	}
-	if technique != "TOP-IL" {
-		return nil, fmt.Errorf("experiments: %s has no inference step (backend %q requested)",
-			technique, backend)
-	}
-	models, err := p.Models()
-	if err != nil {
-		return nil, err
-	}
-	b, ok := npu.ByName(backend, models[seedIdx])
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown inference backend %q (have %v)",
-			backend, npu.BackendNames())
-	}
-	return core.New(b, core.DefaultConfig()), nil
+	return scenario.NewManager(technique, "npu", p.Source(seedIdx))
 }
 
 // PeakIPS exposes the performance model's peak-IPS helper for workload
