@@ -139,6 +139,41 @@ func TestRunnerRecoversFromStore(t *testing.T) {
 	}
 }
 
+// TestRunnerJobFailsDuringExecution drives a job to StateFailed while it
+// runs. Submission rejects a TOP-IL request whose model is missing or does
+// not fit the platform, but a recovered queued job skips submission, so
+// execution must fail it, count it and journal the failure.
+func TestRunnerJobFailsDuringExecution(t *testing.T) {
+	dir := t.TempDir()
+	writeModel(t, dir, "tiny", []int{4, 4, 2}, 1) // wrong shape for the platform
+	store := &memStore{}
+	for _, model := range []string{"tiny", "absent"} {
+		req := quickSimReq()
+		req.Policy, req.Model = "TOP-IL", model
+		store.recs = append(store.recs, JobRecord{ID: "c-f-" + model, State: StateQueued, Req: &req})
+	}
+	r := NewRunner(NewRegistry(dir), 1, 4, nil, store)
+	for _, model := range []string{"tiny", "absent"} {
+		if final := waitTerminal(t, r, "c-f-"+model); final.State != StateFailed || final.Error == "" {
+			t.Errorf("model %q: state %q error %q", model, final.State, final.Error)
+		}
+	}
+	r.Shutdown(context.Background())
+	if n := r.Stats().Failed; n != 2 {
+		t.Errorf("failed counter = %d, want 2", n)
+	}
+	recs, _ := store.Replay()
+	failed := 0
+	for _, rec := range recs {
+		if rec.State == StateFailed && rec.Err != "" {
+			failed++
+		}
+	}
+	if failed != 2 {
+		t.Errorf("journal holds %d failed records with an error, want 2: %+v", failed, recs)
+	}
+}
+
 func TestRunnerSeqAdvancesPastRecoveredIDs(t *testing.T) {
 	store := &memStore{}
 	req := quickSimReq()
