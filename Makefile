@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke online-smoke
+.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke
 
 check:
 	./scripts/check.sh
@@ -62,10 +62,3 @@ serve-smoke:
 # job-store recovery check. See docs/CLUSTER.md.
 cluster-smoke:
 	./scripts/check.sh cluster-smoke
-
-# Continual-learning end-to-end: one full DAgger cycle (recorded ->
-# labeled -> trained -> shadow-scored -> promoted) through a live serve
-# instance with real oracle labeling and a real hot swap. See
-# docs/ONLINE.md.
-online-smoke:
-	./scripts/check.sh online-smoke

@@ -243,32 +243,20 @@ func BenchmarkModelEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSoftLabels compares soft vs hard oracle labels.
-func BenchmarkAblationSoftLabels(b *testing.B) {
+// BenchmarkDatasetAblations compares soft vs hard oracle labels and the
+// model with and without the f̃ and current-mapping feature groups.
+func BenchmarkDatasetAblations(b *testing.B) {
 	p := pipeline(b)
 	for i := 0; i < b.N; i++ {
-		res, err := p.AblationSoftLabels()
+		res, err := p.DatasetAblations()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.Default["within 1°C"]*100, "%_soft")
-			b.ReportMetric(res.Variant["within 1°C"]*100, "%_hard")
-		}
-	}
-}
-
-// BenchmarkAblationFreqFeatures quantifies the f̃ feature group.
-func BenchmarkAblationFreqFeatures(b *testing.B) {
-	p := pipeline(b)
-	for i := 0; i < b.N; i++ {
-		res, err := p.AblationFreqFeatures()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Default["within 1°C"]*100, "%_with")
-			b.ReportMetric(res.Variant["within 1°C"]*100, "%_without")
+			b.ReportMetric(res[0].Default["within 1°C"]*100, "%_default")
+			for j, unit := range []string{"%_hard_labels", "%_no_freq", "%_no_mapping"} {
+				b.ReportMetric(res[j].Variant["within 1°C"]*100, unit)
+			}
 		}
 	}
 }

@@ -118,17 +118,16 @@ func allExperiments() []renderer {
 			return r.Render(), []csvFile{{"energy.csv", r.WriteCSV}}, nil
 		}},
 		{"ablations", func(p *experiments.Pipeline) (string, []csvFile, error) {
+			rs, err := p.DatasetAblations()
+			if err != nil {
+				return "", nil, err
+			}
+			dvfs, err := p.AblationDVFSStep()
+			if err != nil {
+				return "", nil, err
+			}
 			var b strings.Builder
-			for _, f := range []func() (*experiments.AblationResult, error){
-				p.AblationSoftLabels,
-				p.AblationFreqFeatures,
-				p.AblationMappingFeatures,
-				p.AblationDVFSStep,
-			} {
-				r, err := f()
-				if err != nil {
-					return "", nil, err
-				}
+			for _, r := range append(rs, dvfs) {
 				b.WriteString(r.Render() + "\n")
 			}
 			return b.String(), nil, nil

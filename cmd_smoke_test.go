@@ -170,27 +170,6 @@ func TestCommandsFailCleanly(t *testing.T) {
 	}
 }
 
-// TestLintExitCodes pins topil-lint's exit-code contract: 0 on a clean
-// tree, 3 when findings are reported (distinct from 1, operational error,
-// covered by TestCommandsFailCleanly).
-func TestLintExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bins := buildCommands(t)
-	bin := bins["topil-lint"]
-
-	code, stderr := runBin(t, bin, "./cmd/topil-lint")
-	if code != 0 {
-		t.Errorf("lint over a clean package exited %d, want 0\n%s", code, stderr)
-	}
-
-	code, _ = runBin(t, bin, "internal/analysis/testdata/src/fixture/...")
-	if code != 3 {
-		t.Errorf("lint over the known-bad fixture exited %d, want 3", code)
-	}
-}
-
 // freePort reserves an ephemeral port and returns "127.0.0.1:<port>".
 // There is a small race between Close and the server binding it, which is
 // the standard trade-off for subprocess servers under test.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // A Loader parses and type-checks packages of the enclosing module without
@@ -21,11 +22,20 @@ import (
 type Loader struct {
 	Fset *token.FileSet
 
-	modPath string // module path from go.mod ("repro")
-	modRoot string // directory containing go.mod
-	std     types.ImporterFrom
+	modPath string              // module path from go.mod ("repro")
+	modRoot string              // directory containing go.mod
 	cache   map[string]*Package // keyed by directory
 }
+
+// stdImporter type-checks standard-library packages from GOROOT sources.
+// It caches what it checks, so one shared instance type-checks each
+// package (net/http and its dependencies, say) once per process rather
+// than once per Loader. The source importer is not safe for concurrent
+// use; stdMu serializes it.
+var (
+	stdMu       sync.Mutex
+	stdImporter = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+)
 
 // NewLoader locates the enclosing module starting from dir (usually ".").
 func NewLoader(dir string) (*Loader, error) {
@@ -41,7 +51,6 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:    token.NewFileSet(),
 		modPath: mod,
 		modRoot: root,
-		std:     importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom),
 		cache:   make(map[string]*Package),
 	}, nil
 }
@@ -240,5 +249,7 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.ImportFrom(path, dir, mode)
 }

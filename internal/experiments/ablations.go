@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/npu"
 	"repro/internal/oracle"
+	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -31,7 +32,7 @@ func (r *AblationResult) Render() string {
 	for k := range r.Default {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	for _, k := range keys {
 		t.AddRow(k, fmt.Sprintf("%.3f", r.Default[k]), fmt.Sprintf("%.3f", r.Variant[k]))
 	}
@@ -42,125 +43,121 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+// datasetVariant is one Table 2 / Eq. 4 ablation: the model is retrained
+// on a copy of the oracle dataset with one design choice undone.
+type datasetVariant struct {
+	name, comment string
+	// edit undoes the choice in one example of the copy, whose Features
+	// and Labels are private to it.
+	edit func(e *oracle.Example, plat *platform.Platform)
 }
 
-// AblationSoftLabels retrains the model with hard one-hot labels instead of
-// the paper's soft labels (Eq. 4) and compares model quality. Soft labels
-// teach the model that near-optimal mappings are acceptable, which
-// stabilizes choices among thermally equivalent cores.
-func (p *Pipeline) AblationSoftLabels() (*AblationResult, error) {
-	d, err := p.Dataset()
-	if err != nil {
-		return nil, err
-	}
-	hard := &oracle.Dataset{NumCores: d.NumCores}
-	for _, e := range d.Examples {
-		h := e
-		h.Labels = append([]float64(nil), e.Labels...)
-		for c, l := range e.Labels {
-			switch {
-			case l == -1 || l == 0:
-				// keep sentinel semantics
-			case e.Temps[c] != oracle.NotApplicable && e.Temps[c] == e.OptTemp:
-				h.Labels[c] = 1
-			default:
-				h.Labels[c] = 0
+// datasetVariants are the dataset ablations in report order. Feature
+// layout: q, l2d, the AoI's current-mapping one-hot (one per core), the
+// target, then one f̃_{x\AoI}/f_x ratio per cluster.
+var datasetVariants = []datasetVariant{
+	{
+		// Soft labels teach the model that near-optimal mappings are
+		// acceptable, which stabilizes choices among thermally
+		// equivalent cores.
+		name:    "soft vs hard labels",
+		comment: "soft labels rate near-optimal mappings > 0; hard labels one-hot the optimum",
+		edit: func(e *oracle.Example, _ *platform.Platform) {
+			for c, l := range e.Labels {
+				switch {
+				case l == -1 || l == 0:
+					// keep sentinel semantics
+				case e.Temps[c] != oracle.NotApplicable && e.Temps[c] == e.OptTemp:
+					e.Labels[c] = 1
+				default:
+					e.Labels[c] = 0
+				}
 			}
-		}
-		hard.Examples = append(hard.Examples, h)
-	}
-	return p.compareDatasets("soft vs hard labels", d, hard,
-		"soft labels rate near-optimal mappings > 0; hard labels one-hot the optimum")
+		},
+	},
+	{
+		name:    "frequency-requirement features",
+		comment: "variant zeroes the f̃_{x\\AoI}/f_x features of Table 2 group (c)",
+		edit: func(e *oracle.Example, plat *platform.Platform) {
+			first := 3 + plat.NumCores()
+			for ci := 0; ci < plat.NumClusters(); ci++ {
+				e.Features[first+ci] = 0
+			}
+		},
+	},
+	{
+		// Table 2 group (a) claims the current mapping gives context to
+		// the performance-counter readings: the same IPS means different
+		// things on a LITTLE core at low VF and a big core at high VF.
+		name:    "current-mapping features",
+		comment: "variant zeroes the AoI current-mapping one-hot of Table 2 group (a)",
+		edit: func(e *oracle.Example, plat *platform.Platform) {
+			for c := 0; c < plat.NumCores(); c++ {
+				e.Features[2+c] = 0
+			}
+		},
+	},
 }
 
-// AblationFreqFeatures retrains with the per-cluster background-requirement
-// features (f̃_{x\AoI}/f_x) zeroed out, quantifying the value of the
-// paper's feature group (c).
-func (p *Pipeline) AblationFreqFeatures() (*AblationResult, error) {
+// DatasetAblations compares mapping quality of the first pipeline model on
+// the oracle dataset with that of a model retrained (same seed and
+// topology) on each datasetVariants copy, scored on the copy. The variant
+// trainings run as one run matrix.
+func (p *Pipeline) DatasetAblations() ([]*AblationResult, error) {
+	models, err := p.Models()
+	if err != nil {
+		return nil, err
+	}
 	d, err := p.Dataset()
 	if err != nil {
 		return nil, err
 	}
-	nc := p.plat.NumCores()
-	ratioOff := 3 + nc - 1 // index of first ratio feature is 2+nc+1
-	_ = ratioOff
-	stripped := &oracle.Dataset{NumCores: d.NumCores}
-	first := 2 + nc + 1 // q, l2d, one-hot(nc), target → ratios start here
-	for _, e := range d.Examples {
-		s := e
-		s.Features = append([]float64(nil), e.Features...)
-		for ci := 0; ci < p.plat.NumClusters(); ci++ {
-			s.Features[first+ci] = 0
-		}
-		stripped.Examples = append(stripped.Examples, s)
-	}
-	return p.compareDatasets("frequency-requirement features", d, stripped,
-		"variant zeroes the f̃_{x\\AoI}/f_x features of Table 2 group (c)")
-}
-
-// AblationMappingFeatures retrains with the AoI's current-mapping one-hot
-// zeroed, quantifying Table 2 group (a)'s claim that the current mapping
-// gives context to the performance-counter readings (the same IPS means
-// different things on a LITTLE core at low VF and a big core at high VF).
-func (p *Pipeline) AblationMappingFeatures() (*AblationResult, error) {
-	d, err := p.Dataset()
+	def, err := modelQuality(models[0], d)
 	if err != nil {
 		return nil, err
 	}
-	nc := p.plat.NumCores()
-	stripped := &oracle.Dataset{NumCores: d.NumCores}
-	for _, e := range d.Examples {
-		s := e
-		s.Features = append([]float64(nil), e.Features...)
-		for c := 0; c < nc; c++ {
-			s.Features[2+c] = 0
-		}
-		stripped.Examples = append(stripped.Examples, s)
+	specs := make([]RunSpec[map[string]float64], len(datasetVariants))
+	for i, v := range datasetVariants {
+		specs[i] = RunSpec[map[string]float64]{Tag: v.name, Run: func() (map[string]float64, error) {
+			vd := &oracle.Dataset{NumCores: d.NumCores, Examples: make([]oracle.Example, len(d.Examples))}
+			for j, e := range d.Examples {
+				e.Features = append([]float64(nil), e.Features...)
+				e.Labels = append([]float64(nil), e.Labels...)
+				v.edit(&e, p.plat)
+				vd.Examples[j] = e
+			}
+			m, _, err := core.TrainModel(vd, p.topology(), p.Scale.Seeds[0], p.Scale.TrainCfg)
+			if err != nil {
+				return nil, err
+			}
+			return modelQuality(m, vd)
+		}}
 	}
-	return p.compareDatasets("current-mapping features", d, stripped,
-		"variant zeroes the AoI current-mapping one-hot of Table 2 group (a)")
-}
-
-// compareDatasets trains one model per dataset (same seed/topology) and
-// compares the model-quality metrics on each dataset's own split.
-func (p *Pipeline) compareDatasets(name string, def, variant *oracle.Dataset,
-	comment string) (*AblationResult, error) {
-	topo := nn.PaperTopology(features.Dim(p.plat.NumCores(), p.plat.NumClusters()),
-		p.plat.NumCores())
-	eval := func(d *oracle.Dataset) (map[string]float64, error) {
-		m, _, err := core.TrainModel(d, topo, p.Scale.Seeds[0], p.Scale.TrainCfg)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := core.EvaluateModel(m, d)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]float64{
-			"within 1°C":  ev.WithinOneC,
-			"mean excess": ev.MeanExcess,
-			"infeasible":  ev.InfeasibleFrac,
-		}, nil
-	}
-	// The default and variant trainings are independent; run them as a
-	// two-cell matrix so they overlap on a parallel pool.
-	cells, err := RunMatrix(p, "ablation", []RunSpec[map[string]float64]{
-		{Tag: name + "/default", Run: func() (map[string]float64, error) { return eval(def) }},
-		{Tag: name + "/variant", Run: func() (map[string]float64, error) { return eval(variant) }},
-	})
+	cells, err := RunMatrix(p, "ablation", specs)
 	if err != nil {
 		return nil, err
 	}
-	return &AblationResult{
-		Name: name, Default: cells[0].Value, Variant: cells[1].Value,
-		Comment:  comment,
-		MetricFn: "mapping quality on the oracle dataset",
+	out := make([]*AblationResult, len(cells))
+	for i, c := range cells {
+		out[i] = &AblationResult{
+			Name: datasetVariants[i].name, Default: def, Variant: c.Value,
+			Comment:  datasetVariants[i].comment,
+			MetricFn: "mapping quality on the oracle dataset",
+		}
+	}
+	return out, nil
+}
+
+// modelQuality scores a model on an oracle dataset.
+func modelQuality(m *nn.MLP, d *oracle.Dataset) (map[string]float64, error) {
+	ev, err := core.EvaluateModel(m, d)
+	if err != nil {
+		return nil, err
+	}
+	return map[string]float64{
+		"within 1°C":  ev.WithinOneC,
+		"mean excess": ev.MeanExcess,
+		"infeasible":  ev.InfeasibleFrac,
 	}, nil
 }
 

@@ -264,26 +264,17 @@ func TestModelEvaluation(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	p := pipeline(t)
-	soft, err := p.AblationSoftLabels()
+	rs, err := p.DatasetAblations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if soft.Default["within 1°C"] <= 0 {
-		t.Error("soft-label ablation: empty default metrics")
+	if len(rs) != 3 {
+		t.Fatalf("dataset ablations = %d, want 3", len(rs))
 	}
-	freq, err := p.AblationFreqFeatures()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(freq.Variant) == 0 {
-		t.Error("freq-feature ablation: empty variant metrics")
-	}
-	mapping, err := p.AblationMappingFeatures()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mapping.Variant) == 0 {
-		t.Error("mapping-feature ablation: empty variant metrics")
+	for _, r := range rs {
+		if r.Default["within 1°C"] <= 0 || len(r.Variant) == 0 {
+			t.Errorf("%s ablation: empty metrics", r.Name)
+		}
 	}
 	dvfs, err := p.AblationDVFSStep()
 	if err != nil {
@@ -292,7 +283,7 @@ func TestAblations(t *testing.T) {
 	if dvfs.Default["avg temp"] <= 0 {
 		t.Error("dvfs ablation: empty metrics")
 	}
-	for _, r := range []*AblationResult{soft, freq, dvfs} {
+	for _, r := range append(rs, dvfs) {
 		if !strings.Contains(r.Render(), "Ablation") {
 			t.Error("ablation render malformed")
 		}

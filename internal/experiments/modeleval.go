@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/features"
-	"repro/internal/nn"
 	"repro/internal/oracle"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -36,14 +34,11 @@ func (r *ModelEvalResult) Render() string {
 	return b.String()
 }
 
-// ModelEvaluation splits the oracle dataset by AoI benchmark, trains one
-// model per seed on the training AoIs, and evaluates mapping quality on the
-// held-out AoIs. The held-out set contains trace data for benchmarks that
-// are excluded from every trained model.
+// ModelEvaluation scores the pipeline's models (one per seed, trained on
+// the training AoIs) on oracle traces of the held-out AoIs, benchmarks that
+// no trained model has seen.
 func (p *Pipeline) ModelEvaluation() (*ModelEvalResult, error) {
-	// The held-out AoIs also need oracle traces: extend the dataset with
-	// scenarios whose AoI is a held-out benchmark.
-	d, err := p.Dataset()
+	models, err := p.Models()
 	if err != nil {
 		return nil, err
 	}
@@ -52,37 +47,19 @@ func (p *Pipeline) ModelEvaluation() (*ModelEvalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	testData, err := p.buildExtra(testScns)
-	if err != nil {
-		return nil, err
-	}
-
-	topo := nn.PaperTopology(features.Dim(p.plat.NumCores(), p.plat.NumClusters()),
-		p.plat.NumCores())
-	// One training+evaluation cell per seed; TrainModel only reads the
-	// shared dataset, so the seeds fan out safely.
-	var specs []RunSpec[core.ModelEval]
-	for _, seed := range p.Scale.Seeds {
-		specs = append(specs, RunSpec[core.ModelEval]{
-			Tag: fmt.Sprintf("seed%d", seed),
-			Run: func() (core.ModelEval, error) {
-				m, _, err := core.TrainModel(d, topo, seed, p.Scale.TrainCfg)
-				if err != nil {
-					return core.ModelEval{}, err
-				}
-				return core.EvaluateModel(m, testData)
-			},
-		})
-	}
-	cells, err := RunMatrix(p, "modeleval", specs)
+	testData, err := oracle.BuildDataset(testScns, p.Scale.OracleCfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	var within, excess, infeasible []float64
-	for _, c := range cells {
-		within = append(within, c.Value.WithinOneC)
-		excess = append(excess, c.Value.MeanExcess)
-		infeasible = append(infeasible, c.Value.InfeasibleFrac)
+	for _, m := range models {
+		ev, err := core.EvaluateModel(m, testData)
+		if err != nil {
+			return nil, err
+		}
+		within = append(within, ev.WithinOneC)
+		excess = append(excess, ev.MeanExcess)
+		infeasible = append(infeasible, ev.InfeasibleFrac)
 	}
 	return &ModelEvalResult{
 		TestAoIs:   heldOut,
@@ -109,10 +86,4 @@ func (p *Pipeline) heldOutScenarios(heldOut []string) ([]oracle.Scenario, error)
 		return nil, err
 	}
 	return append(canon, rnd...), nil
-}
-
-// buildExtra collects traces and extracts examples for additional
-// scenarios outside the cached training dataset.
-func (p *Pipeline) buildExtra(scns []oracle.Scenario) (*oracle.Dataset, error) {
-	return oracle.BuildDataset(scns, p.Scale.OracleCfg, nil)
 }

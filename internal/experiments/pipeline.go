@@ -226,42 +226,73 @@ func (p *Pipeline) saveArtifact(name string, save func(path string) error) {
 	p.progress("artifacts: saved %s", path)
 }
 
-// Models returns one trained IL model per seed, training on first use.
+// Models returns one trained IL model per seed, training on first use. It
+// is the only place the pipeline trains its models: cached
+// model-<seed>.json artifacts load first, and the missing seeds train as one
+// ordered run matrix on the oracle dataset, which is built only then. The
+// cells only read the dataset and call no Pipeline method that takes p.mu,
+// so they run in parallel under the lock.
 func (p *Pipeline) Models() ([]*nn.MLP, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.models != nil {
 		return p.models, nil
 	}
-	topo := nn.PaperTopology(features.Dim(p.plat.NumCores(), p.plat.NumClusters()),
-		p.plat.NumCores())
-	var models []*nn.MLP
-	for _, seed := range p.Scale.Seeds {
-		name := fmt.Sprintf("model-%d.json", seed)
-		if path, ok := p.artifact(name); ok {
+	topo := p.topology()
+	models := make([]*nn.MLP, len(p.Scale.Seeds))
+	var missing []int
+	for i, seed := range p.Scale.Seeds {
+		if path, ok := p.artifact(modelArtifact(seed)); ok {
 			m, err := core.LoadModel(path, topo[0], topo[len(topo)-1])
 			if err == nil {
 				p.progress("loaded IL model (seed %d) from %s", seed, path)
-				models = append(models, m)
+				models[i] = m
 				continue
 			}
 			p.progress("model cache %s unusable (%v), retraining", path, err)
 		}
+		missing = append(missing, i)
+	}
+	if len(missing) > 0 {
 		d, err := p.datasetLocked()
 		if err != nil {
 			return nil, err
 		}
-		p.progress("training IL model (seed %d)", seed)
-		m, res, err := core.TrainModel(d, topo, seed, p.Scale.TrainCfg)
+		specs := make([]RunSpec[*nn.MLP], len(missing))
+		for j, i := range missing {
+			seed := p.Scale.Seeds[i]
+			specs[j] = RunSpec[*nn.MLP]{
+				Tag: fmt.Sprintf("seed%d", seed),
+				Run: func() (*nn.MLP, error) {
+					p.progress("training IL model (seed %d)", seed)
+					m, res, err := core.TrainModel(d, topo, seed, p.Scale.TrainCfg)
+					if err != nil {
+						return nil, err
+					}
+					p.progress("model seed %d: val loss %.4f after %d epochs", seed, res.BestValLoss, res.Epochs)
+					p.saveArtifact(modelArtifact(seed), func(path string) error { return core.SaveModel(m, path) })
+					return m, nil
+				},
+			}
+		}
+		cells, err := RunMatrix(p, "models", specs)
 		if err != nil {
 			return nil, err
 		}
-		p.progress("model seed %d: val loss %.4f after %d epochs", seed, res.BestValLoss, res.Epochs)
-		p.saveArtifact(name, func(path string) error { return core.SaveModel(m, path) })
-		models = append(models, m)
+		for j, i := range missing {
+			models[i] = cells[j].Value
+		}
 	}
 	p.models = models
 	return models, nil
+}
+
+func modelArtifact(seed int64) string { return fmt.Sprintf("model-%d.json", seed) }
+
+// topology is the paper's IL network for the pipeline's platform.
+func (p *Pipeline) topology() []int {
+	return nn.PaperTopology(features.Dim(p.plat.NumCores(), p.plat.NumClusters()),
+		p.plat.NumCores())
 }
 
 // QTables returns one pretrained RL table per seed, pretraining on first

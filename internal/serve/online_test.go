@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +221,29 @@ func TestServerOnlineLifecycle(t *testing.T) {
 	})
 	if st.PreviousVersion != 1 || st.CandidateVersion != 0 {
 		t.Fatalf("post-promotion status: %+v", st)
+	}
+
+	// The cycle surfaces on /metrics, and the candidate was shadow-scored
+	// before its promotion (Status.ShadowComparisons resets on promotion;
+	// the counter is the cumulative record).
+	page := string(wireGet(t, ts.URL+"/metrics", http.StatusOK))
+	for _, fam := range []string{
+		"online_samples_recorded_total", "online_samples_labeled_total",
+		"online_train_cycles_total", "online_shadow_rows_total",
+		"online_promotions_total", "online_dataset_size",
+	} {
+		if !strings.Contains(page, "\n"+fam+"{") {
+			t.Errorf("/metrics missing family %s", fam)
+		}
+	}
+	const shadowRows = `online_shadow_rows_total{model="policy"} `
+	i := strings.Index(page, "\n"+shadowRows)
+	if i < 0 {
+		t.Fatalf("/metrics has no %s series:\n%s", shadowRows, page)
+	}
+	line, _, _ := strings.Cut(page[i+1+len(shadowRows):], "\n")
+	if v, err := strconv.ParseFloat(line, 64); err != nil || v <= 0 {
+		t.Errorf("candidate promoted with %s%q (err %v), want > 0", shadowRows, line, err)
 	}
 
 	// Auto-rollback on injected regression: the next candidate is promoted

@@ -9,10 +9,7 @@
 # replicas behind topil-cluster, SIGKILLs one under load, and checks
 # zero 5xx plus journal recovery. `scripts/check.sh conformance` runs the
 # committed conformance packages (docs/CONFORMANCE.md) at -j1 and -j8 and
-# requires byte-identical reports. `scripts/check.sh online-smoke` boots a
-# continual-learning serve instance and asserts one full DAgger cycle
-# (recorded -> labeled -> trained -> shadow-scored -> promoted); see
-# docs/ONLINE.md and scripts/onlinecheck.
+# requires byte-identical reports.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -99,16 +96,6 @@ if [ "${1:-}" = "smoke" ]; then
     wait "$pid" || { echo "server did not drain cleanly"; exit 1; }
     pid=""
     echo "serve smoke OK (infer + sim round trip + /metrics + graceful drain)"
-    exit 0
-fi
-
-if [ "${1:-}" = "online-smoke" ]; then
-    # Continual-learning end-to-end: scripts/onlinecheck boots serve with
-    # -online semantics (real oracle labeling, real replay gate, real hot
-    # swap) and fails unless at least one recorded -> labeled -> trained ->
-    # shadow-scored -> promoted cycle completes and the online_* metric
-    # families surface on /metrics.
-    go run ./scripts/onlinecheck
     exit 0
 fi
 
