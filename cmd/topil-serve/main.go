@@ -69,16 +69,15 @@ func main() {
 
 func run() error {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		models    = flag.String("models", "artifacts", "model artifacts directory (<name>.json)")
-		workers   = flag.Int("workers", runtime.NumCPU(), "simulation worker pool size")
-		queueCap  = flag.Int("queue", 0, "simulation job queue capacity (default 4x workers)")
-		batchMax  = flag.Int("batch", 16, "max inference batch size (one NPU wave)")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max time a request waits to coalesce")
-		inferCap  = flag.Int("infer-queue", 256, "pending inference submissions bound")
-		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
-		pprof     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		storeDir  = flag.String("store", "", "durable job store directory (empty: jobs are in-memory only)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		models   = flag.String("models", "artifacts", "model artifacts directory (<name>.json)")
+		workers  = flag.Int("workers", runtime.NumCPU(), "simulation worker pool size")
+		queueCap = flag.Int("queue", 0, "simulation job queue capacity (default 4x workers)")
+		batchMax = flag.Int("batch", 16, "rows after which a batch takes no more requests (one NPU wave)")
+		inferCap = flag.Int("infer-queue", 256, "queued inference requests bound")
+		drain    = flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
+		pprof    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		storeDir = flag.String("store", "", "durable job store directory (empty: jobs are in-memory only)")
 
 		online        = flag.String("online", "", "model name to continually train on visited states (empty: off)")
 		onlineDir     = flag.String("online-dir", "", "sample-log directory for -online (default <store>/online, required without -store)")
@@ -94,8 +93,8 @@ func run() error {
 	if *workers <= 0 {
 		return fmt.Errorf("-workers must be positive")
 	}
-	if *batchMax <= 0 || *batchWait <= 0 || *inferCap <= 0 {
-		return fmt.Errorf("-batch, -batch-wait and -infer-queue must be positive")
+	if *batchMax <= 0 || *inferCap <= 0 {
+		return fmt.Errorf("-batch and -infer-queue must be positive")
 	}
 	if info, err := os.Stat(*models); err != nil {
 		return fmt.Errorf("models directory: %v", err)
@@ -155,7 +154,6 @@ func run() error {
 		QueueCap:  *queueCap,
 		Batch: serve.BatcherConfig{
 			MaxBatch: *batchMax,
-			MaxWait:  *batchWait,
 			QueueCap: *inferCap,
 		},
 		Store:       store,
@@ -177,8 +175,7 @@ func run() error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (%d workers, batch %d/%v)",
-			*addr, *workers, *batchMax, *batchWait)
+		log.Printf("listening on %s (%d workers, batch %d)", *addr, *workers, *batchMax)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 			return

@@ -36,7 +36,7 @@ func startCluster(t *testing.T, n int) (*ReplicaSet, *Router, *httptest.Server) 
 			ModelsDir: modelsDir,
 			Workers:   2,
 			QueueCap:  16,
-			Batch:     serve.BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond, QueueCap: 256},
+			Batch:     serve.BatcherConfig{MaxBatch: 16, QueueCap: 256},
 		},
 		StoreRoot: t.TempDir(),
 	})

@@ -11,31 +11,30 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Errors returned by Batcher.Submit; the HTTP layer maps them to
+// Errors returned by Batcher.SubmitRows; the HTTP layer maps them to
 // 429/503/502.
 var (
 	ErrOverloaded = errors.New("serve: queue full")
 	ErrClosed     = errors.New("serve: shutting down")
 	// ErrInference marks a device-side failure: the backend panicked on a
-	// batch or returned no output for a request. It is delivered per
-	// request — one faulty input never poisons the rest of its batch.
+	// batch or returned no output for a row. It is delivered per request —
+	// a faulty row fails its own request, never the rest of its batch.
 	ErrInference = errors.New("serve: inference failed")
 )
 
 // BatcherConfig tunes the coalescing frontend.
 type BatcherConfig struct {
-	// MaxBatch flushes a batch once this many requests are pending — the
-	// NPU's wave width (npu.NPU.Lanes) is the natural choice.
+	// MaxBatch stops a batch taking further requests once it holds this
+	// many rows — the NPU's wave width (npu.NPU.Lanes) is the natural
+	// choice. Requests are never split, so a batch may exceed it.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is flushed anyway.
-	MaxWait time.Duration
-	// QueueCap bounds the number of pending submissions; Submit returns
-	// ErrOverloaded beyond it (backpressure instead of unbounded queueing).
+	// QueueCap bounds the number of queued requests, whatever their row
+	// counts; SubmitRows returns ErrOverloaded beyond it (backpressure
+	// instead of unbounded queueing).
 	QueueCap int
 	// MaxInflight bounds concurrently executing batches — the device queue
 	// depth. When every slot is busy the collector stops admitting work,
-	// the queue fills, and Submit starts rejecting: end-to-end
+	// the queue fills, and SubmitRows starts rejecting: end-to-end
 	// backpressure instead of unbounded dispatch goroutines.
 	MaxInflight int
 	// Registry receives the batcher's metric families (serve_batcher_*),
@@ -82,31 +81,30 @@ type ShadowBatch struct {
 	Shadow        [][]float64
 }
 
-// DefaultBatcherConfig returns production defaults: one NPU wave per batch
-// and a wait short enough to be invisible next to the device's ≈1 ms
-// invocation overhead.
+// DefaultBatcherConfig returns production defaults: one NPU wave per batch.
 func DefaultBatcherConfig() BatcherConfig {
-	return BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond, QueueCap: 256, MaxInflight: 4}
+	return BatcherConfig{MaxBatch: 16, QueueCap: 256, MaxInflight: 4}
 }
 
-// batchReq is one pending inference.
+// batchReq is one pending request: all its rows ride in one batch.
 type batchReq struct {
-	in  []float64
-	out chan batchResp // buffered(1): the collector never blocks on delivery
+	rows [][]float64
+	out  chan batchResp // buffered(1): the collector never blocks on delivery
 }
 
-// batchResp carries one request's result out of a flushed batch.
+// batchResp carries one request's result out of a dispatched batch.
 type batchResp struct {
-	out       []float64
+	outs      [][]float64
 	device    time.Duration // modelled device latency of the whole batch
-	batchSize int
-	version   int   // model version the batch was served by
-	err       error // per-request failure (wraps ErrInference)
+	batchSize int           // rows in the batch
+	version   int           // model version the batch was served by
+	err       error         // per-request failure (wraps ErrInference)
 }
 
 // SubmitInfo reports how a request was served.
 type SubmitInfo struct {
-	// BatchSize is the size of the coalesced batch this request rode in.
+	// BatchSize is the row count of the coalesced batch this request rode
+	// in; every row of a request rides in the same batch.
 	BatchSize int
 	// DeviceLatency is the modelled accelerator cost of that batch — by the
 	// paper's Fig. 12 nearly independent of BatchSize on the NPU.
@@ -121,10 +119,12 @@ type SubmitInfo struct {
 // device invocation serves every application's query at once, so
 // per-request latency stays near-constant under fan-in.
 //
-// A single collector goroutine gathers requests until MaxBatch are pending
-// or MaxWait has elapsed since the batch opened, then hands the batch to a
-// dispatch goroutine (mirroring npu.InferAsync) and immediately resumes
-// collecting — inference never blocks admission.
+// The batcher is work-conserving: a single collector goroutine takes the
+// first queued request, waits for a free device slot (never for company),
+// adds whatever else queued meanwhile up to MaxBatch rows, and hands the
+// batch to a dispatch goroutine (mirroring npu.InferAsync). Batches grow
+// under load, because requests pile up while every slot is busy; a lone
+// request on an idle device is dispatched at once.
 type Batcher struct {
 	src      BackendSource
 	inputDim int
@@ -146,18 +146,18 @@ type Batcher struct {
 // field is lock-free, so the flush path no longer serializes on the stats
 // mutex; BatcherStats is derived from these at snapshot time.
 type batcherMetrics struct {
-	requests    *telemetry.Counter
-	rejected    *telemetry.Counter
+	requests    *telemetry.Counter // rows accepted
+	rejected    *telemetry.Counter // rows refused with ErrOverloaded
 	flushFull   *telemetry.Counter
-	flushTimer  *telemetry.Counter
-	batchSize   *telemetry.Histogram // count = batches, max = largest, sum/count = mean
-	inferErrors *telemetry.Counter   // requests failed with ErrInference
+	flushTimer  *telemetry.Counter   // batches dispatched with fewer than MaxBatch rows
+	batchSize   *telemetry.Histogram // rows per batch: count = batches, max = largest, sum/count = mean
+	inferErrors *telemetry.Counter   // rows of requests failed with ErrInference
 	batchPanics *telemetry.Counter   // batches whose device call panicked
-	queueDepth  *telemetry.Gauge     // pending submissions, updated on queue transitions
+	queueDepth  *telemetry.Gauge     // queued requests, updated on queue transitions
 }
 
-// batchSizeBuckets spans one request through two NPU waves; batch sizes
-// are small integers, so unit-width buckets keep the histogram exact.
+// batchSizeBuckets spans one row through two NPU waves; batch sizes are
+// small integers, so unit-width buckets keep the histogram exact.
 var batchSizeBuckets = telemetry.LinearBuckets(1, 1, 32)
 
 // newBatcherMetrics resolves the serve_batcher_* family handles for one
@@ -165,30 +165,33 @@ var batchSizeBuckets = telemetry.LinearBuckets(1, 1, 32)
 func newBatcherMetrics(reg *telemetry.Registry, model string) batcherMetrics {
 	return batcherMetrics{
 		requests: reg.CounterVec("serve_batcher_requests_total",
-			"inference submissions accepted into the queue", "model").With(model),
+			"inference rows submitted, rejected ones included", "model").With(model),
 		rejected: reg.CounterVec("serve_batcher_rejected_total",
-			"inference submissions rejected with backpressure (429)", "model").With(model),
+			"inference rows rejected with backpressure (429)", "model").With(model),
 		flushFull: reg.CounterVec("serve_batcher_flush_full_total",
-			"batches flushed because MaxBatch requests were pending", "model").With(model),
+			"batches dispatched with at least MaxBatch rows", "model").With(model),
 		flushTimer: reg.CounterVec("serve_batcher_flush_timer_total",
-			"batches flushed by the MaxWait timer", "model").With(model),
+			"batches dispatched with fewer than MaxBatch rows", "model").With(model),
 		batchSize: reg.HistogramVec("serve_batcher_batch_size",
-			"coalesced requests per device invocation", batchSizeBuckets, "model").With(model),
+			"coalesced rows per device invocation", batchSizeBuckets, "model").With(model),
 		inferErrors: reg.CounterVec("serve_batcher_infer_errors_total",
-			"requests failed with a device-side inference error", "model").With(model),
+			"rows of requests failed with a device-side inference error", "model").With(model),
 		batchPanics: reg.CounterVec("serve_batcher_panics_total",
 			"batches whose device call panicked", "model").With(model),
 		queueDepth: reg.GaugeVec("serve_batcher_queue_depth",
-			"inference submissions waiting for a batch", "model").With(model),
+			"inference requests waiting for a batch", "model").With(model),
 	}
 }
 
 // BatcherStats is a point-in-time snapshot of the coalescing behaviour.
+// Requests, Rejected, InferErrors and the batch sizes count rows.
 type BatcherStats struct {
-	Requests     uint64  `json:"requests"`
-	Rejected     uint64  `json:"rejected"`
-	Batches      uint64  `json:"batches"`
-	FlushFull    uint64  `json:"flushFull"`
+	Requests  uint64 `json:"requests"`
+	Rejected  uint64 `json:"rejected"`
+	Batches   uint64 `json:"batches"`
+	FlushFull uint64 `json:"flushFull"`
+	// FlushTimer counts batches dispatched with fewer than MaxBatch rows
+	// (the name predates the work-conserving collector).
 	FlushTimer   uint64  `json:"flushTimer"`
 	LargestBatch int     `json:"largestBatch"`
 	MeanBatch    float64 `json:"meanBatch"`
@@ -218,9 +221,6 @@ func NewBatcherSource(src BackendSource, inputDim int, cfg BatcherConfig) *Batch
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultBatcherConfig().MaxBatch
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = DefaultBatcherConfig().MaxWait
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultBatcherConfig().QueueCap
 	}
@@ -247,14 +247,31 @@ func NewBatcherSource(src BackendSource, inputDim int, cfg BatcherConfig) *Batch
 	return b
 }
 
-// Submit enqueues one input vector and blocks until its output is ready,
-// the context is canceled, or the batcher shuts down. It never blocks on a
-// full queue: beyond QueueCap it fails fast with ErrOverloaded.
+// Submit is SubmitRows for a single input vector.
 func (b *Batcher) Submit(ctx context.Context, in []float64) ([]float64, SubmitInfo, error) {
-	if b.inputDim > 0 && len(in) != b.inputDim {
-		return nil, SubmitInfo{}, fmt.Errorf("serve: input dim %d, want %d", len(in), b.inputDim)
+	outs, info, err := b.SubmitRows(ctx, [][]float64{in})
+	if err != nil {
+		return nil, info, err
 	}
-	req := batchReq{in: in, out: make(chan batchResp, 1)}
+	return outs[0], info, nil
+}
+
+// SubmitRows enqueues one request's input vectors as a single queue entry
+// and blocks until their outputs are ready, the context is canceled, or the
+// batcher shuts down. The rows ride in one device batch, and the request is
+// admitted or refused whole: it never blocks on a full queue, failing fast
+// with ErrOverloaded beyond QueueCap queued requests. The returned outputs
+// are capped, so appending to them never touches another request's rows.
+func (b *Batcher) SubmitRows(ctx context.Context, rows [][]float64) ([][]float64, SubmitInfo, error) {
+	for _, in := range rows {
+		if b.inputDim > 0 && len(in) != b.inputDim {
+			return nil, SubmitInfo{}, fmt.Errorf("serve: input dim %d, want %d", len(in), b.inputDim)
+		}
+	}
+	if len(rows) == 0 {
+		return nil, SubmitInfo{}, nil
+	}
+	req := batchReq{rows: rows, out: make(chan batchResp, 1)}
 	// Enqueue under the closed-check mutex: Close sets closed before
 	// signalling the collector, so any request admitted here is in the
 	// queue before the final drain and is guaranteed an answer.
@@ -263,13 +280,13 @@ func (b *Batcher) Submit(ctx context.Context, in []float64) ([]float64, SubmitIn
 		b.mu.Unlock()
 		return nil, SubmitInfo{}, ErrClosed
 	}
-	b.stats.requests.Inc()
+	b.stats.requests.Add(float64(len(rows)))
 	select {
 	case b.reqs <- req:
 		b.stats.queueDepth.Set(float64(len(b.reqs)))
 		b.mu.Unlock()
 	default:
-		b.stats.rejected.Inc()
+		b.stats.rejected.Add(float64(len(rows)))
 		b.mu.Unlock()
 		return nil, SubmitInfo{}, ErrOverloaded
 	}
@@ -279,7 +296,7 @@ func (b *Batcher) Submit(ctx context.Context, in []float64) ([]float64, SubmitIn
 		if resp.err != nil {
 			return nil, SubmitInfo{BatchSize: resp.batchSize, ModelVersion: resp.version}, resp.err
 		}
-		return resp.out, SubmitInfo{BatchSize: resp.batchSize, DeviceLatency: resp.device,
+		return resp.outs, SubmitInfo{BatchSize: resp.batchSize, DeviceLatency: resp.device,
 			ModelVersion: resp.version}, nil
 	case <-ctx.Done():
 		// The collector will still compute and deliver into the buffered
@@ -288,77 +305,55 @@ func (b *Batcher) Submit(ctx context.Context, in []float64) ([]float64, SubmitIn
 	}
 }
 
-// collect is the single collector goroutine.
+// collect is the single collector goroutine. After Close it keeps
+// dispatching until the queue is empty, so no accepted request is dropped;
+// Close refuses new submissions before signalling quit, so the queue only
+// shrinks from then on.
 func (b *Batcher) collect() {
 	defer b.collector.Done()
 	for {
+		var first batchReq
 		select {
+		case first = <-b.reqs:
 		case <-b.quit:
-			b.drain()
-			return
-		case first := <-b.reqs:
-			b.stats.queueDepth.Set(float64(len(b.reqs)))
-			batch := append(make([]batchReq, 0, b.cfg.MaxBatch), first)
-			timer := time.NewTimer(b.cfg.MaxWait)
-			full := true
-		gather:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-					b.stats.queueDepth.Set(float64(len(b.reqs)))
-				case <-timer.C:
-					full = false
-					break gather
-				case <-b.quit:
-					timer.Stop()
-					b.flush(batch, false)
-					b.drain()
-					return
-				}
+			select {
+			case first = <-b.reqs:
+			default:
+				return
 			}
-			timer.Stop()
-			b.flush(batch, full)
 		}
-	}
-}
-
-// drain serves whatever is still queued at shutdown, one final batch per
-// MaxBatch requests, so no accepted submission is dropped.
-func (b *Batcher) drain() {
-	for {
-		var batch []batchReq
-		for len(batch) < b.cfg.MaxBatch {
+		b.stats.queueDepth.Set(float64(len(b.reqs)))
+		// Wait for a device slot, not for company. With every slot busy
+		// this blocks the collector: arrivals queue up and ride in this
+		// batch, and a full queue pushes back on SubmitRows.
+		b.sem <- struct{}{}
+		batch, rows := []batchReq{first}, len(first.rows)
+	gather:
+		for rows < b.cfg.MaxBatch {
 			select {
 			case r := <-b.reqs:
 				batch = append(batch, r)
-				b.stats.queueDepth.Set(float64(len(b.reqs)))
+				rows += len(r.rows)
 			default:
-				goto out
+				break gather
 			}
 		}
-	out:
-		if len(batch) == 0 {
-			return
-		}
-		b.flush(batch, len(batch) == b.cfg.MaxBatch)
+		b.stats.queueDepth.Set(float64(len(b.reqs)))
+		b.dispatch(batch, rows)
 	}
 }
 
-// flush dispatches a batch without blocking the collector, mirroring the
-// non-blocking npu.InferAsync call of the paper's daemon.
-func (b *Batcher) flush(batch []batchReq, full bool) {
-	if full {
+// dispatch runs a batch on the device slot the collector acquired without
+// blocking the collector, mirroring the non-blocking npu.InferAsync call of
+// the paper's daemon.
+func (b *Batcher) dispatch(batch []batchReq, rows int) {
+	if rows >= b.cfg.MaxBatch {
 		b.stats.flushFull.Inc()
 	} else {
 		b.stats.flushTimer.Inc()
 	}
-	b.stats.batchSize.Observe(float64(len(batch)))
+	b.stats.batchSize.Observe(float64(rows))
 
-	// Acquire a device slot before dispatching; with every slot busy this
-	// blocks the collector, which is what propagates backpressure to the
-	// bounded queue and from there to Submit.
-	b.sem <- struct{}{}
 	b.inflight.Add(1)
 	go func() {
 		defer func() {
@@ -369,46 +364,47 @@ func (b *Batcher) flush(batch []batchReq, full bool) {
 		// version, so a concurrent Swap can never split a batch.
 		be, ver := b.src.Acquire()
 		if be == nil {
+			err := fmt.Errorf("%w: no active model version", ErrNotFound)
 			for _, r := range batch {
-				r.out <- batchResp{
-					err:       fmt.Errorf("%w: no active model version", ErrNotFound),
-					batchSize: len(batch),
-				}
+				r.out <- batchResp{err: err, batchSize: rows}
 			}
-			b.stats.inferErrors.Add(float64(len(batch)))
+			b.stats.inferErrors.Add(float64(rows))
 			return
 		}
-		ins := make([][]float64, len(batch))
-		for i, r := range batch {
-			ins[i] = r.in
+		ins := make([][]float64, 0, rows)
+		for _, r := range batch {
+			ins = append(ins, r.rows...)
 		}
 		outs, err := b.runBatch(be, ins)
 		var dev time.Duration
 		if err == nil {
-			dev = be.Latency(len(batch))
-		}
-		rowErrs := 0
-		for i, r := range batch {
-			switch {
-			case err != nil:
-				rowErrs++
-				r.out <- batchResp{err: err, batchSize: len(batch), version: ver}
-			case i >= len(outs) || outs[i] == nil:
-				rowErrs++
-				r.out <- batchResp{
-					err: fmt.Errorf("%w: device %s returned no output for request %d of a batch of %d",
-						ErrInference, be.Name(), i, len(batch)),
-					batchSize: len(batch),
-					version:   ver,
-				}
-			default:
-				r.out <- batchResp{out: outs[i], device: dev, batchSize: len(batch), version: ver}
-			}
-		}
-		b.stats.inferErrors.Add(float64(rowErrs))
-		if err != nil {
+			dev = be.Latency(rows)
+		} else {
 			b.stats.batchPanics.Inc()
 		}
+		failedRows, off := 0, 0
+		for _, r := range batch {
+			n := len(r.rows)
+			resp := batchResp{batchSize: rows, version: ver, err: err}
+			// The message names the row's index in the batch "request", as
+			// the wire fixture err_infer_fault.json pins it.
+			for i := off; resp.err == nil && i < off+n; i++ {
+				if i >= len(outs) || outs[i] == nil {
+					resp.err = fmt.Errorf("%w: device %s returned no output for request %d of a batch of %d",
+						ErrInference, be.Name(), i, rows)
+				}
+			}
+			if resp.err == nil {
+				// Capped, so an append on one request's outputs
+				// reallocates instead of overwriting its neighbour's.
+				resp.outs, resp.device = outs[off:off+n:off+n], dev
+			} else {
+				failedRows += n
+			}
+			r.out <- resp
+			off += n
+		}
+		b.stats.inferErrors.Add(float64(failedRows))
 		b.mirrorShadow(ver, ins, outs, err)
 	}()
 }
@@ -467,11 +463,11 @@ func (b *Batcher) Close() {
 	b.inflight.Wait()
 }
 
-// QueueDepth returns the number of submissions waiting for a batch — the
+// QueueDepth returns the number of requests waiting for a batch — the
 // signal behind Retry-After hints and the cluster router's load shedding.
 func (b *Batcher) QueueDepth() int { return len(b.reqs) }
 
-// QueueCap returns the submission queue capacity.
+// QueueCap returns the request queue capacity.
 func (b *Batcher) QueueCap() int { return b.cfg.QueueCap }
 
 // Stats returns a snapshot of the coalescing counters, derived from the

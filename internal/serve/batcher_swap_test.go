@@ -54,7 +54,7 @@ func TestBatcherNoMixedBatchesAcrossSwaps(t *testing.T) {
 	src := &swapSource{}
 	src.active.Store(&stampBackend{version: 1})
 	b := NewBatcherSource(src, 0, BatcherConfig{
-		MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueCap: 4096, MaxInflight: 4,
+		MaxBatch: 8, QueueCap: 4096, MaxInflight: 4,
 	})
 	defer b.Close()
 
@@ -130,7 +130,7 @@ func TestBatcherShadowMirroring(t *testing.T) {
 	var mu sync.Mutex
 	var got []ShadowBatch
 	b := NewBatcherSource(src, 0, BatcherConfig{
-		MaxBatch: 4, MaxWait: 100 * time.Microsecond, QueueCap: 64, MaxInflight: 2,
+		MaxBatch: 4, QueueCap: 64, MaxInflight: 2,
 		OnShadow: func(sb ShadowBatch) {
 			mu.Lock()
 			got = append(got, sb)
@@ -182,7 +182,7 @@ func TestBatcherShadowPanicIsolated(t *testing.T) {
 	src.active.Store(&stampBackend{version: 1})
 	src.shadow.Store(&stampBackend{version: -1}) // see panicShadow below
 	b := NewBatcherSource(&panicShadow{swapSource: src}, 0, BatcherConfig{
-		MaxBatch: 4, MaxWait: 100 * time.Microsecond, QueueCap: 64, MaxInflight: 2,
+		MaxBatch: 4, QueueCap: 64, MaxInflight: 2,
 		OnShadow: func(ShadowBatch) { t.Error("OnShadow fired for a panicking shadow") },
 	})
 	defer b.Close()

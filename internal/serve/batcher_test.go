@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -46,73 +47,176 @@ func testInputs(n int, seed int64) [][]float64 {
 	return out
 }
 
-// TestBatcherCoalesces is the acceptance test for the NPU-style frontend:
-// with 16 concurrent in-flight requests the device is invoked strictly
-// fewer times than there are requests, while every response matches the
-// single-request Predict output.
-func TestBatcherCoalesces(t *testing.T) {
-	m := testModel(t)
-	backend := &countingBackend{Backend: npu.New(m)}
-	b := NewBatcher(backend, m.InputDim(), BatcherConfig{
-		MaxBatch: 16,
-		MaxWait:  50 * time.Millisecond,
-		QueueCap: 64,
-	})
-	defer b.Close()
-
-	const clients = 16
-	inputs := testInputs(clients, 2)
-	outputs := make([][]float64, clients)
-	infos := make([]SubmitInfo, clients)
-	errs := make([]error, clients)
-
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			outputs[i], infos[i], errs[i] = b.Submit(context.Background(), inputs[i])
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			t.Fatalf("client %d: %v", i, errs[i])
+// waitQueued blocks until the batcher has admitted rows rows and holds
+// depth requests in its queue. Both are read under the admission lock, so
+// every admitted request is already in the queue or the collector's hand.
+func waitQueued(t *testing.T, b *Batcher, rows uint64, depth int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		n, d := uint64(b.stats.requests.Value()), len(b.reqs)
+		b.mu.Unlock()
+		if n == rows && d == depth {
+			return
 		}
-		want := m.Predict(inputs[i])
+		if time.Now().After(deadline) {
+			t.Fatalf("batcher admitted %d rows with %d queued, want %d rows with %d queued", n, d, rows, depth)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitCalls blocks until the backend has been invoked n times.
+func waitCalls(t *testing.T, be *countingBackend, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for be.calls.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d device calls, want %d", be.calls.Load(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// submitted is the pending result of one SubmitRows call.
+type submitted struct {
+	outs [][]float64
+	info SubmitInfo
+	err  error
+}
+
+// submitAsync starts a SubmitRows call and returns its pending result.
+func submitAsync(b *Batcher, rows [][]float64) <-chan submitted {
+	ch := make(chan submitted, 1)
+	go func() {
+		outs, info, err := b.SubmitRows(context.Background(), rows)
+		ch <- submitted{outs, info, err}
+	}()
+	return ch
+}
+
+// checkPredict fails unless outs are bit-equal to m.Predict of ins.
+func checkPredict(t *testing.T, m *nn.MLP, ins, outs [][]float64, what string) {
+	t.Helper()
+	if len(outs) != len(ins) {
+		t.Fatalf("%s: %d outputs for %d inputs", what, len(outs), len(ins))
+	}
+	for i, in := range ins {
+		want := m.Predict(in)
 		for o := range want {
-			if outputs[i][o] != want[o] {
-				t.Fatalf("client %d output %d: %g, want %g", i, o, outputs[i][o], want[o])
+			if outs[i][o] != want[o] {
+				t.Fatalf("%s row %d output %d: %g, want %g", what, i, o, outs[i][o], want[o])
 			}
 		}
 	}
-	calls := backend.calls.Load()
-	if calls >= clients {
-		t.Fatalf("no coalescing: %d device calls for %d requests", calls, clients)
-	}
-	st := b.Stats()
-	if st.Requests != clients || st.Batches != uint64(calls) {
-		t.Errorf("stats = %+v, want %d requests over %d batches", st, clients, calls)
-	}
-	if st.LargestBatch < 2 {
-		t.Errorf("largest batch %d, want >= 2", st.LargestBatch)
-	}
-	t.Logf("%d requests served by %d device calls (largest batch %d, mean %.1f)",
-		clients, calls, st.LargestBatch, st.MeanBatch)
 }
 
-// TestBatcherFlushesOnTimer checks a lone request is not held past MaxWait
-// and reports the device's modelled latency for its batch.
-func TestBatcherFlushesOnTimer(t *testing.T) {
+// TestBatcherCoalesces is the acceptance test for the NPU-style frontend.
+// A blocker request holds the only device slot while 15 more queue behind
+// it; on release they ride in one batch, so 16 requests cost exactly 2
+// device calls and every response matches the single-request Predict
+// output. A second round queues requests of 1, 8 and MaxBatch+3 rows
+// behind a blocker: each rides whole in one shared batch, and appending to
+// one request's outputs leaves its batch-mate's rows intact.
+func TestBatcherCoalesces(t *testing.T) {
+	m := testModel(t)
+	const maxBatch = 16
+	newStalled := func() (*countingBackend, *Batcher) {
+		backend := &countingBackend{Backend: npu.New(m), release: make(chan struct{})}
+		b := NewBatcher(backend, m.InputDim(), BatcherConfig{
+			MaxBatch:    maxBatch,
+			QueueCap:    64,
+			MaxInflight: 1,
+		})
+		t.Cleanup(b.Close)
+		return backend, b
+	}
+
+	t.Run("single rows", func(t *testing.T) {
+		backend, b := newStalled()
+		const clients = 16
+		inputs := testInputs(clients, 2)
+		pending := []<-chan submitted{submitAsync(b, inputs[:1])}
+		waitCalls(t, backend, 1)
+		for i := 1; i < clients; i++ {
+			pending = append(pending, submitAsync(b, inputs[i:i+1]))
+		}
+		// The collector holds one queued request while it waits for the slot.
+		waitQueued(t, b, clients, clients-2)
+		close(backend.release)
+
+		for i, p := range pending {
+			r := <-p
+			if r.err != nil {
+				t.Fatalf("client %d: %v", i, r.err)
+			}
+			checkPredict(t, m, inputs[i:i+1], r.outs, fmt.Sprintf("client %d", i))
+		}
+		if calls := backend.calls.Load(); calls != 2 {
+			t.Fatalf("%d device calls for %d requests, want 2", calls, clients)
+		}
+		st := b.Stats()
+		if st.Requests != clients || st.Batches != 2 || st.LargestBatch != clients-1 {
+			t.Errorf("stats = %+v, want %d requests over 2 batches, largest %d", st, clients, clients-1)
+		}
+	})
+
+	t.Run("mixed sizes", func(t *testing.T) {
+		backend, b := newStalled()
+		blocker := submitAsync(b, testInputs(1, 3))
+		waitCalls(t, backend, 1)
+		// Admit one request at a time so the batch order is a, mid, big.
+		sizes := []int{1, 8, maxBatch + 3}
+		inputs := make([][][]float64, len(sizes))
+		pending := make([]<-chan submitted, len(sizes))
+		rows := uint64(1)
+		for k, n := range sizes {
+			inputs[k] = testInputs(n, int64(10+k))
+			pending[k] = submitAsync(b, inputs[k])
+			rows += uint64(n)
+			waitQueued(t, b, rows, k)
+		}
+		close(backend.release)
+		if r := <-blocker; r.err != nil {
+			t.Fatalf("blocker: %v", r.err)
+		}
+
+		const batchRows = 1 + 8 + maxBatch + 3
+		results := make([]submitted, len(sizes))
+		for k, p := range pending {
+			results[k] = <-p
+			r := results[k]
+			if r.err != nil {
+				t.Fatalf("%d-row request: %v", sizes[k], r.err)
+			}
+			checkPredict(t, m, inputs[k], r.outs, fmt.Sprintf("%d-row request", sizes[k]))
+			if r.info.BatchSize != batchRows {
+				t.Errorf("%d-row request rode a batch of %d, want %d", sizes[k], r.info.BatchSize, batchRows)
+			}
+		}
+		// The 1-row request sits right before the 8-row one in the batch's
+		// output slice; its capped view must not let an append spill over.
+		_ = append(results[0].outs, make([]float64, m.OutputDim()))
+		checkPredict(t, m, inputs[1], results[1].outs, "8-row request after a neighbour's append")
+
+		if calls := backend.calls.Load(); calls != 2 {
+			t.Fatalf("%d device calls, want 2", calls)
+		}
+		if st := b.Stats(); st.LargestBatch != batchRows || st.FlushFull != 1 || st.FlushTimer != 1 {
+			t.Errorf("stats = %+v, want largest batch %d, 1 full and 1 partial", st, batchRows)
+		}
+	})
+}
+
+// TestBatcherIdleDispatch checks a lone request on an idle batcher is
+// served at once, as a batch of one, reporting the device's modelled
+// latency for it.
+func TestBatcherIdleDispatch(t *testing.T) {
 	m := testModel(t)
 	dev := npu.New(m)
 	b := NewBatcher(dev, m.InputDim(), BatcherConfig{
 		MaxBatch: 16,
-		MaxWait:  time.Millisecond,
 		QueueCap: 4,
 	})
 	defer b.Close()
@@ -130,7 +234,7 @@ func TestBatcherFlushesOnTimer(t *testing.T) {
 		t.Errorf("reported device latency %v, want the modelled %v", info.DeviceLatency, dev.Latency(1))
 	}
 	if st := b.Stats(); st.FlushTimer != 1 {
-		t.Errorf("flushTimer = %d, want 1", st.FlushTimer)
+		t.Errorf("flushTimer = %d, want 1 (a batch below MaxBatch rows)", st.FlushTimer)
 	}
 }
 
@@ -141,7 +245,6 @@ func TestBatcherBackpressure(t *testing.T) {
 	backend := &countingBackend{Backend: npu.New(m), release: make(chan struct{})}
 	b := NewBatcher(backend, m.InputDim(), BatcherConfig{
 		MaxBatch:    1, // every request is its own batch
-		MaxWait:     time.Millisecond,
 		QueueCap:    2,
 		MaxInflight: 1, // one stalled batch blocks the collector
 	})
@@ -194,7 +297,6 @@ func TestBatcherCloseDrains(t *testing.T) {
 	m := testModel(t)
 	b := NewBatcher(npu.New(m), m.InputDim(), BatcherConfig{
 		MaxBatch: 8,
-		MaxWait:  50 * time.Millisecond,
 		QueueCap: 16,
 	})
 	inputs := testInputs(8, 5)
@@ -239,7 +341,6 @@ func TestBatchingLatencyProfile(t *testing.T) {
 	measure := func(clients, rounds int) (p50, p95 time.Duration) {
 		b := NewBatcher(npu.New(m), m.InputDim(), BatcherConfig{
 			MaxBatch: 16,
-			MaxWait:  2 * time.Millisecond,
 			QueueCap: 256,
 		})
 		defer b.Close()

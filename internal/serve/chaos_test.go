@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,60 +15,92 @@ import (
 	"repro/internal/testkit"
 )
 
+// faultLog records which input rows a backend answered with a nil output
+// row, keyed by the row's backing array.
+type faultLog struct {
+	npu.Backend
+	mu      sync.Mutex
+	nilRows map[*float64]bool
+}
+
+func (f *faultLog) Infer(batch [][]float64) [][]float64 {
+	outs := f.Backend.Infer(batch)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, o := range outs {
+		if o == nil {
+			f.nilRows[&batch[i][0]] = true
+		}
+	}
+	return outs
+}
+
 // TestBatcherRowFaultIsolation drives the batcher over a chaos backend
-// injecting per-row inference failures: affected requests fail with
-// ErrInference, every other request in the same batch still receives its
-// exact result — one bad request must not poison its batch.
+// injecting per-row inference failures into requests of 1 to 3 rows, all
+// queued behind a blocker so that they share batches. A request with a
+// faulted row fails with ErrInference; every other request in the same
+// batch still receives its exact result — one bad row must not poison its
+// batch.
 func TestBatcherRowFaultIsolation(t *testing.T) {
 	seed := testkit.SeedFromEnv(42)
 	t.Logf("chaos seed %d (export %s to replay)", seed, testkit.SeedEnv)
 	m := testModel(t)
 	ch := testkit.NewChaos(seed)
-	backend := ch.WrapBackend(npu.New(m), testkit.BackendFaults{RowErrProb: 0.5})
-	b := NewBatcher(backend, m.InputDim(), BatcherConfig{
-		MaxBatch: 8, MaxWait: 5 * time.Millisecond, QueueCap: 64,
+	stall := &countingBackend{Backend: npu.New(m), release: make(chan struct{})}
+	faults := &faultLog{
+		Backend: ch.WrapBackend(stall, testkit.BackendFaults{RowErrProb: 0.5}),
+		nilRows: map[*float64]bool{},
+	}
+	b := NewBatcher(faults, m.InputDim(), BatcherConfig{
+		MaxBatch: 8, QueueCap: 64, MaxInflight: 1,
 	})
 	defer b.Close()
 
 	const n = 32
-	inputs := testInputs(n, 7)
-	errs := make([]error, n)
-	outs := make([][]float64, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], _, errs[i] = b.Submit(context.Background(), inputs[i])
-		}(i)
+	inputs := make([][][]float64, n)
+	rows := 0
+	for i := range inputs {
+		inputs[i] = testInputs(1+i%3, int64(7+i))
+		rows += len(inputs[i])
 	}
-	wg.Wait()
+	pending := []<-chan submitted{submitAsync(b, inputs[0])}
+	waitCalls(t, stall, 1)
+	for i := 1; i < n; i++ {
+		pending = append(pending, submitAsync(b, inputs[i]))
+	}
+	waitQueued(t, b, uint64(rows), n-2)
+	close(stall.release)
 
-	failed := 0
-	for i := range errs {
+	// Every request's answer follows its batch's device call, so once all
+	// have arrived the fault log is complete.
+	results := make([]submitted, n)
+	for i, p := range pending {
+		results[i] = <-p
+	}
+	failed, failedRows := 0, 0
+	for i, r := range results {
+		faulted := false
+		for _, row := range inputs[i] {
+			faulted = faulted || faults.nilRows[&row[0]]
+		}
 		switch {
-		case errs[i] == nil:
-			want := m.Predict(inputs[i])
-			for o := range want {
-				if outs[i][o] != want[o] {
-					t.Fatalf("surviving request %d corrupted: out[%d]=%g, want %g",
-						i, o, outs[i][o], want[o])
-				}
-			}
-		case errors.Is(errs[i], ErrInference):
+		case r.err == nil && !faulted:
+			checkPredict(t, m, inputs[i], r.outs, fmt.Sprintf("surviving request %d", i))
+		case errors.Is(r.err, ErrInference) && faulted:
 			failed++
+			failedRows += len(inputs[i])
 		default:
-			t.Fatalf("request %d: unexpected error %v", i, errs[i])
+			t.Fatalf("request %d (faulted row: %v): error %v", i, faulted, r.err)
 		}
 	}
-	if injected := ch.EventCount("infer-error"); failed != injected {
-		t.Errorf("%d requests failed, %d faults injected", failed, injected)
+	if injected := ch.EventCount("infer-error"); len(faults.nilRows) != injected {
+		t.Errorf("%d rows came back nil, %d faults injected", len(faults.nilRows), injected)
 	}
 	if failed == 0 || failed == n {
 		t.Errorf("%d/%d failures: expected a mix at p=0.5 (seed %d)", failed, n, seed)
 	}
-	if st := b.Stats(); st.InferErrors != uint64(failed) || st.BatchPanics != 0 {
-		t.Errorf("stats = %+v, want %d inferErrors, 0 panics", st, failed)
+	if st := b.Stats(); st.InferErrors != uint64(failedRows) || st.BatchPanics != 0 {
+		t.Errorf("stats = %+v, want %d inferErrors (rows of failed requests), 0 panics", st, failedRows)
 	}
 }
 
@@ -79,7 +112,7 @@ func TestBatcherPanicRecovery(t *testing.T) {
 	ch := testkit.NewChaos(testkit.SeedFromEnv(1))
 	backend := ch.WrapBackend(npu.New(m), testkit.BackendFaults{PanicProb: 1})
 	b := NewBatcher(backend, m.InputDim(), BatcherConfig{
-		MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 64,
+		MaxBatch: 4, QueueCap: 64,
 	})
 
 	const n = 12
@@ -116,7 +149,7 @@ func TestBatcherContextCancelMidBatch(t *testing.T) {
 	m := testModel(t)
 	backend := &countingBackend{Backend: npu.New(m), release: make(chan struct{})}
 	b := NewBatcher(backend, m.InputDim(), BatcherConfig{
-		MaxBatch: 2, MaxWait: time.Millisecond, QueueCap: 8,
+		MaxBatch: 2, QueueCap: 8,
 	})
 	defer b.Close()
 

@@ -11,8 +11,9 @@
 //
 //	Registry   loads and caches named nn.MLP models from an artifacts
 //	           directory and exposes them as npu.Backend devices.
-//	Batcher    coalesces concurrent Submit calls into NPU-style batches,
-//	           flushing on a max batch size or a short max-wait timer.
+//	Batcher    coalesces concurrent requests into NPU-style batches,
+//	           dispatching as soon as a device slot is free; requests
+//	           that queued while every slot was busy share the batch.
 //	Runner     executes full sim+core/governor runs as jobs (queued /
 //	           running / done / failed / canceled) on a bounded pool.
 //	Server     the HTTP surface: /v1/infer, /v1/sim, /v1/jobs/{id},

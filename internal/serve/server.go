@@ -341,9 +341,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // InferRequest is the body of POST /v1/infer.
 type InferRequest struct {
 	Model string `json:"model"`
-	// Inputs holds one feature vector per inference. Each row is submitted
-	// to the shared batcher individually, so rows coalesce with concurrent
-	// requests from other clients.
+	// Inputs holds one feature vector per inference. The rows are queued on
+	// the shared batcher as one unit and ride in one device batch, which
+	// also carries concurrent requests from other clients.
 	Inputs [][]float64 `json:"inputs"`
 }
 
@@ -351,11 +351,12 @@ type InferRequest struct {
 type InferResponse struct {
 	Model   string      `json:"model"`
 	Outputs [][]float64 `json:"outputs"`
-	// BatchSizes reports, per input row, the size of the coalesced device
-	// batch that served it (>1 means coalescing with other requests).
+	// BatchSizes reports, per input row, the row count of the coalesced
+	// device batch that served it — the same for every row of a request
+	// (more than the request's rows means coalescing with other requests).
 	BatchSizes []int `json:"batchSizes"`
-	// DeviceLatencyUs is the modelled NPU cost of the largest batch any
-	// row rode in — the paper's near-constant invocation cost.
+	// DeviceLatencyUs is the modelled NPU cost of the batch the request
+	// rode in — the paper's near-constant invocation cost.
 	DeviceLatencyUs float64 `json:"deviceLatencyUs"`
 	WallUs          float64 `json:"wallUs"`
 }
@@ -388,43 +389,23 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
+	outs, info, err := b.SubmitRows(r.Context(), req.Inputs)
+	if errors.Is(err, ErrOverloaded) {
+		writeRetryError(w, statusFor(err), err, retryAfterSeconds(b.QueueDepth(), b.QueueCap()))
+		return
+	}
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
 	resp := InferResponse{
-		Model:      req.Model,
-		Outputs:    make([][]float64, len(req.Inputs)),
-		BatchSizes: make([]int, len(req.Inputs)),
+		Model:           req.Model,
+		Outputs:         outs,
+		BatchSizes:      make([]int, len(outs)),
+		DeviceLatencyUs: float64(info.DeviceLatency) / float64(time.Microsecond),
 	}
-	errs := make([]error, len(req.Inputs))
-	var wg sync.WaitGroup
-	var devMu sync.Mutex
-	for i, in := range req.Inputs {
-		wg.Add(1)
-		go func(i int, in []float64) {
-			defer wg.Done()
-			out, info, err := b.Submit(r.Context(), in)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp.Outputs[i] = out
-			resp.BatchSizes[i] = info.BatchSize
-			devMu.Lock()
-			if us := float64(info.DeviceLatency) / float64(time.Microsecond); us > resp.DeviceLatencyUs {
-				resp.DeviceLatencyUs = us
-			}
-			devMu.Unlock()
-		}(i, in)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			if errors.Is(err, ErrOverloaded) {
-				writeRetryError(w, statusFor(err), err,
-					retryAfterSeconds(b.QueueDepth(), b.QueueCap()))
-				return
-			}
-			writeError(w, statusFor(err), err)
-			return
-		}
+	for i := range resp.BatchSizes {
+		resp.BatchSizes[i] = info.BatchSize
 	}
 	resp.WallUs = float64(time.Since(start)) / float64(time.Microsecond)
 	writeJSON(w, http.StatusOK, resp)

@@ -24,7 +24,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *nn.MLP) {
 		ModelsDir: dir,
 		Workers:   2,
 		QueueCap:  8,
-		Batch:     BatcherConfig{MaxBatch: 16, MaxWait: 20 * time.Millisecond, QueueCap: 64},
+		Batch:     BatcherConfig{MaxBatch: 16, QueueCap: 64},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -138,29 +138,54 @@ func TestServerInfer(t *testing.T) {
 	}
 }
 
+// TestServerInferWholeRequest posts a request with more rows than the
+// infer queue holds to an idle server: the request is one queue entry, so
+// it is admitted whole and served in one device batch, with outputs
+// bit-equal to Predict.
+func TestServerInferWholeRequest(t *testing.T) {
+	s, ts, m := newTestServer(t)
+	inputs := testInputs(16*s.cfg.Batch.QueueCap, 11)
+	resp, body := postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "model-1", Inputs: inputs})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d-row infer on an idle server: %d %s", len(inputs), resp.StatusCode, body)
+	}
+	var out InferResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkPredict(t, m, inputs, out.Outputs, "whole request")
+	for i, n := range out.BatchSizes {
+		if n != len(inputs) {
+			t.Fatalf("row %d rode a batch of %d, want all %d rows in one", i, n, len(inputs))
+		}
+	}
+}
+
 // TestServerInferCoalescing is the serve-level form of the acceptance
-// criterion: 16 concurrent HTTP clients, device invoked strictly fewer
-// times than requests, every response equal to single-request Predict.
+// criterion: a blocker request holds the only device slot while 15 more
+// HTTP clients queue behind it, so 16 requests cost exactly 2 device calls
+// and every response equals single-request Predict.
 func TestServerInferCoalescing(t *testing.T) {
 	s, ts, m := newTestServer(t)
 
-	// Swap in a counting backend behind the model's batcher.
-	backend := &countingBackend{Backend: npu.New(m)}
+	// Swap in a one-slot counting backend behind the model's batcher.
+	backend := &countingBackend{Backend: npu.New(m), release: make(chan struct{})}
+	bcfg := s.cfg.Batch
+	bcfg.MaxInflight = 1
+	b := NewBatcher(backend, m.InputDim(), bcfg)
 	s.mu.Lock()
-	s.batchers["model-1"] = NewBatcher(backend, m.InputDim(), s.cfg.Batch)
+	s.batchers["model-1"] = b
 	s.mu.Unlock()
 
 	const clients = 16
 	inputs := testInputs(clients, 7)
 	outputs := make([][]float64, clients)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
 	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
+	var wg sync.WaitGroup
+	post := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			<-start
 			data, _ := json.Marshal(InferRequest{Model: "model-1", Inputs: inputs[i : i+1]})
 			resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(data))
 			if err != nil {
@@ -178,28 +203,29 @@ func TestServerInferCoalescing(t *testing.T) {
 				return
 			}
 			outputs[i] = out.Outputs[0]
-		}(i)
+		}()
 	}
-	close(start)
+	post(0)
+	waitCalls(t, backend, 1)
+	for i := 1; i < clients; i++ {
+		post(i)
+	}
+	waitQueued(t, b, clients, clients-2)
+	close(backend.release)
 	wg.Wait()
+
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	for i, in := range inputs {
-		want := m.Predict(in)
-		for o := range want {
-			if outputs[i][o] != want[o] {
-				t.Fatalf("client %d output %d: %g, want %g", i, o, outputs[i][o], want[o])
-			}
-		}
+	checkPredict(t, m, inputs, outputs, "HTTP clients")
+	if calls := backend.calls.Load(); calls != 2 {
+		t.Fatalf("%d device calls over HTTP for %d requests, want 2", calls, clients)
 	}
-	calls := backend.calls.Load()
-	if calls >= clients {
-		t.Fatalf("no coalescing over HTTP: %d device calls for %d requests", calls, clients)
+	if st := b.Stats(); st.LargestBatch != clients-1 {
+		t.Errorf("largest batch %d, want %d", st.LargestBatch, clients-1)
 	}
-	t.Logf("16 HTTP clients served by %d device calls", calls)
 }
 
 func TestServerSimRoundTrip(t *testing.T) {

@@ -288,7 +288,7 @@ func TestWireErrorInferFault(t *testing.T) {
 	// lock, displacing the registry-built one for model-1.
 	ch := testkit.NewChaos(1)
 	b := NewBatcher(ch.WrapBackend(npu.New(m), testkit.BackendFaults{RowErrProb: 1}),
-		m.InputDim(), BatcherConfig{MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 8})
+		m.InputDim(), BatcherConfig{MaxBatch: 4, QueueCap: 8})
 	s.mu.Lock()
 	s.batchers["model-1"] = b
 	s.mu.Unlock()

@@ -3,13 +3,13 @@
 # and race targets call this script): build + vet + lint + tests + race
 # pass over the concurrent packages + coverage gate + hot-path allocation
 # gate + sim-time trace determinism. `scripts/check.sh race` runs just the
-# race pass. `scripts/check.sh smoke` additionally boots topil-serve and drives one
-# infer + sim round trip over HTTP, scrapes /metrics, then drains it with
-# SIGINT. `scripts/check.sh cluster-smoke` boots three journal-backed
-# replicas behind topil-cluster, SIGKILLs one under load, and checks
-# zero 5xx plus journal recovery. `scripts/check.sh conformance` runs the
-# committed conformance packages (docs/CONFORMANCE.md) at -j1 and -j8 and
-# requires byte-identical reports.
+# race pass. `scripts/check.sh smoke` additionally boots topil-serve and
+# drives a one-row and a 300-row infer plus a sim round trip over HTTP,
+# scrapes /metrics, then drains it with SIGINT. `scripts/check.sh
+# cluster-smoke` boots three journal-backed replicas behind topil-cluster,
+# SIGKILLs one under load, and checks zero 5xx plus journal recovery.
+# `scripts/check.sh conformance` runs the committed conformance packages
+# (docs/CONFORMANCE.md) at -j1 and -j8 and requires byte-identical reports.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -54,6 +54,16 @@ if [ "${1:-}" = "smoke" ]; then
     out=$(curl -sf -X POST "http://$addr/v1/infer" \
         -d "{\"model\":\"model-1\",\"inputs\":[[$zeros]]}")
     echo "$out" | grep -q '"outputs"' || { echo "infer failed: $out"; exit 1; }
+
+    # A request is one queue entry whatever its row count, so 300 rows —
+    # more than the default -infer-queue of 256 — are admitted whole. The
+    # indented response opens each output row with a bare "    [" line.
+    rows=$(seq 300 | awk -v z="$zeros" '{printf "%s[%s]", (NR>1?",":""), z}')
+    code=$(curl -s -o "$tmp/big.json" -w '%{http_code}' -X POST "http://$addr/v1/infer" \
+        -d "{\"model\":\"model-1\",\"inputs\":[$rows]}")
+    [ "$code" = "200" ] || { echo "300-row infer: HTTP $code"; cat "$tmp/big.json"; exit 1; }
+    n=$(grep -c '^    \[$' "$tmp/big.json" || true)
+    [ "$n" = "300" ] || { echo "300-row infer: $n outputs"; exit 1; }
 
     job=$(curl -sf -X POST "http://$addr/v1/sim" \
         -d '{"policy":"GTS/ondemand","duration":2,"numJobs":2,"rate":2,"instrScale":0.02}' \
