@@ -9,10 +9,11 @@
 //     job ID — so GET /v1/jobs/{id} hashes back to the replica that ran
 //     the job, and adding a replica only remaps ~1/N of the key space.
 //
-//   - JournalStore: a durable serve.JobStore — an append-only,
-//     CRC-guarded, fsync-per-record journal plus a compacting snapshot —
-//     so a replica restarted after SIGKILL replays its job history and
-//     every accepted job still reaches a terminal state.
+//   - JournalStore: a durable serve.JobStore over a journal.Log — an
+//     append-only, CRC-guarded journal it fsyncs per record, plus a
+//     snapshot of serve.FoldJobRecords it installs on compaction — so a
+//     replica restarted after SIGKILL replays its job history and every
+//     accepted job still reaches a terminal state.
 //
 //   - Router: the stateless HTTP frontend. It polls replica /v1/healthz
 //     for queue fill, sheds load with 429 + Retry-After when the

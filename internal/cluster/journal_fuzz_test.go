@@ -2,10 +2,29 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/serve"
 )
+
+// parseJournal decodes journal bytes as OpenJournalStore replays them,
+// returning the records of every intact line and how many leading bytes
+// they take up.
+func parseJournal(data []byte) (recs []serve.JobRecord, good int) {
+	good = journal.Scan(data, replayRecord(&recs))
+	return recs, good
+}
+
+// appendJournalLine renders one record as JournalStore.Append writes it.
+func appendJournalLine(buf []byte, rec serve.JobRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	return journal.EncodeLine(buf, payload), nil
+}
 
 // FuzzJournalReplay hammers the journal parser with arbitrary bytes. The
 // invariants: never panic, never consume more than the input, consumed
@@ -29,7 +48,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), []byte("ffffffff {}\n")...)) // valid then junk
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good := ParseJournal(data)
+		recs, good := parseJournal(data)
 		if good < 0 || good > len(data) {
 			t.Fatalf("good = %d for %d input bytes", good, len(data))
 		}
@@ -38,7 +57,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("parser admitted a record without an ID: %+v", rec)
 			}
 		}
-		again, againGood := ParseJournal(data[:good])
+		again, againGood := parseJournal(data[:good])
 		if againGood != good || len(again) != len(recs) {
 			t.Fatalf("prefix re-parse diverged: %d/%d records, %d/%d bytes",
 				len(again), len(recs), againGood, good)
@@ -55,7 +74,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		extRecs, extGood := ParseJournal(ext)
+		extRecs, extGood := parseJournal(ext)
 		if extGood != len(ext) || len(extRecs) != len(recs)+1 {
 			t.Fatalf("append after truncation lost records: %d, want %d", len(extRecs), len(recs)+1)
 		}

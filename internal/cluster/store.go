@@ -3,8 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/journal"
@@ -18,16 +16,14 @@ import (
 //
 // Append is fsynced before it returns, so a record the runner journaled is
 // on disk before the state transition becomes observable over HTTP — the
-// "202 implies durable" contract. The snapshot is replaced atomically
-// (write temp, fsync, rename, fsync dir), so a crash mid-compaction
-// leaves either the old or the new snapshot, never a torn one.
+// "202 implies durable" contract. The files themselves are a journal.Log.
 const (
 	journalName  = "journal.log"
 	snapshotName = "snapshot.json"
 )
 
-// DefaultCompactEvery is the journal length that triggers auto-compaction.
-const DefaultCompactEvery = 1024
+// defaultCompactEvery is the journal length that triggers auto-compaction.
+const defaultCompactEvery = 1024
 
 // JournalStore is the durable serve.JobStore: an append-only CRC-guarded
 // journal plus a compacting snapshot. It tolerates the crash modes a
@@ -41,12 +37,9 @@ const DefaultCompactEvery = 1024
 // records for jobs that were mid-flight — exactly what a real power loss
 // looks like to the journal.
 type JournalStore struct {
-	dir string
-
 	mu           sync.Mutex
-	f            *os.File
-	closed       bool
-	compactEvery int
+	log          *journal.Log
+	compactEvery int               // journal records that trigger Compact; <= 0 never
 	snapshot     []serve.JobRecord // folded records as of the last compaction
 	tail         []serve.JobRecord // journal records since the snapshot
 }
@@ -54,83 +47,30 @@ type JournalStore struct {
 // OpenJournalStore opens (creating if needed) the store in dir, replaying
 // the snapshot and journal and truncating any torn journal tail.
 func OpenJournalStore(dir string) (*JournalStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: store dir: %w", err)
-	}
-	s := &JournalStore{dir: dir, compactEvery: DefaultCompactEvery}
-
-	snapPath := filepath.Join(dir, snapshotName)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		if err := json.Unmarshal(data, &s.snapshot); err != nil {
-			return nil, fmt.Errorf("cluster: corrupt snapshot %s: %w", snapPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("cluster: reading snapshot: %w", err)
-	}
-
-	jPath := filepath.Join(dir, journalName)
-	data, err := os.ReadFile(jPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("cluster: reading journal: %w", err)
-	}
-	recs, good := ParseJournal(data)
-	s.tail = recs
-	if good < len(data) {
-		// Torn or corrupt tail: truncate to the last intact record so the
-		// next append starts a clean line.
-		if err := os.Truncate(jPath, int64(good)); err != nil {
-			return nil, fmt.Errorf("cluster: truncating torn journal: %w", err)
-		}
-	}
-
-	f, err := os.OpenFile(jPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s := &JournalStore{compactEvery: defaultCompactEvery}
+	l, err := journal.Open(dir, journalName, snapshotName,
+		func(data []byte) error { return json.Unmarshal(data, &s.snapshot) },
+		replayRecord(&s.tail))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: opening journal: %w", err)
+		return nil, fmt.Errorf("cluster: opening job store: %w", err)
 	}
-	s.f = f
+	s.log = l
 	return s, nil
 }
 
-// ParseJournal decodes journal bytes into the records of every intact
-// line, returning how many leading bytes were consumed by them. The first
-// malformed line — torn (no newline), bad CRC, bad JSON, or a record
-// without an ID — ends the parse: everything after it is untrusted. It is
-// a pure function so FuzzJournalReplay can hammer it directly. The line
-// format lives in internal/journal, shared with the online sample log.
-func ParseJournal(data []byte) (recs []serve.JobRecord, good int) {
-	good = journal.Scan(data, func(payload []byte) bool {
+// replayRecord returns a journal.Scan callback that appends each decoded
+// record to recs. A payload that is not JSON, or a record without an ID,
+// ends the replay: everything after it is untrusted.
+func replayRecord(recs *[]serve.JobRecord) func(payload []byte) bool {
+	return func(payload []byte) bool {
 		var rec serve.JobRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if json.Unmarshal(payload, &rec) != nil || rec.ID == "" {
 			return false
 		}
-		if rec.ID == "" {
-			return false
-		}
-		recs = append(recs, rec)
+		*recs = append(*recs, rec)
 		return true
-	})
-	return recs, good
-}
-
-// appendJournalLine renders one record in the journal line format.
-func appendJournalLine(buf []byte, rec serve.JobRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return buf, err
 	}
-	return journal.EncodeLine(buf, payload), nil
 }
-
-// SetCompactEvery adjusts the auto-compaction threshold (records in the
-// journal since the last snapshot). n <= 0 disables auto-compaction.
-func (s *JournalStore) SetCompactEvery(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactEvery = n
-}
-
-// Dir returns the store directory.
-func (s *JournalStore) Dir() string { return s.dir }
 
 // Append journals one record durably: the line is written and fsynced
 // before Append returns. Implements serve.JobStore.
@@ -138,28 +78,23 @@ func (s *JournalStore) Append(rec serve.JobRecord) error {
 	if rec.ID == "" {
 		return fmt.Errorf("cluster: journal record without an ID")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("cluster: journal store is closed")
-	}
-	line, err := appendJournalLine(nil, rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("cluster: encoding journal record: %w", err)
 	}
-	if _, err := s.f.Write(line); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.log.Append(payload); err != nil {
 		return fmt.Errorf("cluster: appending journal: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("cluster: syncing journal: %w", err)
 	}
 	s.tail = append(s.tail, rec)
 	if s.compactEvery > 0 && len(s.tail) >= s.compactEvery {
-		if err := s.compactLocked(); err != nil {
-			// The journal itself is intact; compaction will be retried on
-			// the next threshold crossing or at the next open.
-			return nil
-		}
+		// The journal itself is intact if compaction fails; it is retried
+		// on the next threshold crossing.
+		_ = s.compactLocked()
 	}
 	return nil
 }
@@ -176,82 +111,28 @@ func (s *JournalStore) Replay() ([]serve.JobRecord, error) {
 	return out, nil
 }
 
-// Compact folds the journal into the snapshot: one record per job holding
-// its request and final observed state, written atomically, after which
-// the journal is truncated. Bounded restart cost no matter how many
-// transitions the replica has journaled.
+// Compact folds the journal into the snapshot — one record per job, by
+// serve.FoldJobRecords — after which the journal is truncated. Bounded
+// restart cost no matter how many transitions the replica has journaled.
 func (s *JournalStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("cluster: journal store is closed")
-	}
 	return s.compactLocked()
 }
 
 // compactLocked does the work of Compact. Callers hold s.mu.
 func (s *JournalStore) compactLocked() error {
-	folded := foldForSnapshot(append(append([]serve.JobRecord(nil), s.snapshot...), s.tail...))
+	folded := serve.FoldJobRecords(append(append([]serve.JobRecord(nil), s.snapshot...), s.tail...))
 	data, err := json.MarshalIndent(folded, "", " ")
 	if err != nil {
 		return fmt.Errorf("cluster: encoding snapshot: %w", err)
 	}
-	if err := journal.WriteFileAtomic(filepath.Join(s.dir, snapshotName), data); err != nil {
-		return fmt.Errorf("cluster: installing snapshot: %w", err)
-	}
-	if err := s.f.Truncate(0); err != nil {
-		return fmt.Errorf("cluster: truncating journal: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("cluster: syncing truncated journal: %w", err)
+	if err := s.log.Compact(data); err != nil {
+		return fmt.Errorf("cluster: compacting journal: %w", err)
 	}
 	s.snapshot = folded
 	s.tail = nil
 	return nil
-}
-
-// foldForSnapshot reduces records to one per job, in first-appearance
-// order: the queued request plus the last observed state and outcome.
-// Records for jobs whose queued record was lost carry nothing recoverable
-// and are dropped (the runner-side fold does the same on replay).
-func foldForSnapshot(recs []serve.JobRecord) []serve.JobRecord {
-	byID := make(map[string]*serve.JobRecord)
-	var order []string
-	for _, rec := range recs {
-		j, ok := byID[rec.ID]
-		if !ok {
-			if rec.Req == nil {
-				continue
-			}
-			cp := rec
-			byID[rec.ID] = &cp
-			order = append(order, rec.ID)
-			continue
-		}
-		j.State = rec.State
-		if rec.Req != nil {
-			j.Req = rec.Req
-		}
-		if rec.Err != "" {
-			j.Err = rec.Err
-		}
-		if rec.Result != nil {
-			j.Result = rec.Result
-		}
-	}
-	out := make([]serve.JobRecord, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out
-}
-
-// JournalLen returns the number of records in the journal tail (since the
-// last compaction) — observability for tests and topil-cluster.
-func (s *JournalStore) JournalLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tail)
 }
 
 // Close freezes the store (Appends fail from here on) and releases the
@@ -260,9 +141,5 @@ func (s *JournalStore) JournalLen() int {
 func (s *JournalStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.f.Close()
+	return s.log.Close()
 }

@@ -171,20 +171,20 @@ func TestJournalStoreTornTail(t *testing.T) {
 func TestJournalStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenJournalStore(dir)
-	s.SetCompactEvery(0) // manual
+	s.compactEvery = 0 // manual
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("job-%d", i)
 		s.Append(queuedRec(id))
 		s.Append(serve.JobRecord{ID: id, State: serve.StateDone, Result: &serve.SimResult{}})
 	}
-	if s.JournalLen() != 20 {
-		t.Fatalf("journal tail = %d", s.JournalLen())
+	if len(s.tail) != 20 {
+		t.Fatalf("journal tail = %d", len(s.tail))
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.JournalLen() != 0 {
-		t.Fatalf("journal not truncated after compaction: %d", s.JournalLen())
+	if len(s.tail) != 0 {
+		t.Fatalf("journal not truncated after compaction: %d", len(s.tail))
 	}
 	recs, _ := s.Replay()
 	if len(recs) != 10 {
@@ -213,13 +213,13 @@ func TestJournalStoreAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenJournalStore(dir)
 	defer s.Close()
-	s.SetCompactEvery(8)
+	s.compactEvery = 8
 	for i := 0; i < 20; i++ {
 		if err := s.Append(queuedRec(fmt.Sprintf("j-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.JournalLen(); got >= 8 {
+	if got := len(s.tail); got >= 8 {
 		t.Fatalf("auto-compaction never fired: tail = %d", got)
 	}
 	recs, _ := s.Replay()

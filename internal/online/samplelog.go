@@ -2,10 +2,9 @@ package online
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/journal"
@@ -18,10 +17,10 @@ import (
 //
 // The journal records every append; the retained reservoir is a pure
 // function of (seed, the journaled Seq stream), so replaying snapshot +
-// journal reconstructs the exact in-memory state. Appends are buffered —
-// Sync flushes them to disk at cycle boundaries; a torn or corrupt tail is
-// truncated to the last intact line on the next open, exactly like the
-// cluster job journal (both ride internal/journal).
+// journal reconstructs the exact in-memory state. Appends are not fsynced
+// one by one — Sync flushes them at cycle boundaries. The files are a
+// journal.Log, like the cluster job journal's, so a torn or corrupt tail
+// is truncated to the last intact line on the next open.
 const (
 	logName      = "samples.log"
 	snapshotName = "samples.json"
@@ -30,8 +29,8 @@ const (
 // DefaultSampleCap bounds the retained reservoir.
 const DefaultSampleCap = 4096
 
-// DefaultCompactEvery is the journal length that triggers auto-compaction.
-const DefaultCompactEvery = 8192
+// defaultCompactEvery is the journal length that triggers auto-compaction.
+const defaultCompactEvery = 8192
 
 // logSnapshot is the compacted on-disk state.
 type logSnapshot struct {
@@ -45,14 +44,12 @@ type logSnapshot struct {
 // only on (seed, Seq) — no RNG state to serialize, and journal replay
 // reproduces the reservoir exactly.
 type SampleLog struct {
-	dir  string
 	cap  int
 	seed int64
 
 	mu           sync.Mutex
-	f            *os.File
-	closed       bool
-	compactEvery int
+	log          *journal.Log
+	compactEvery int    // journal lines that trigger Compact; <= 0 never
 	total        uint64 // lifetime appends == last assigned Seq
 	snapTotal    uint64 // total as of the last compaction
 	samples      []Sample
@@ -67,57 +64,36 @@ func OpenSampleLog(dir string, capacity int, seed int64) (*SampleLog, error) {
 	if capacity <= 0 {
 		capacity = DefaultSampleCap
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("online: sample log dir: %w", err)
-	}
-	l := &SampleLog{dir: dir, cap: capacity, seed: seed, compactEvery: DefaultCompactEvery}
-
-	snapPath := filepath.Join(dir, snapshotName)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var snap logSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("online: corrupt sample snapshot %s: %w", snapPath, err)
-		}
-		l.total = snap.Total
-		l.snapTotal = snap.Total
-		l.samples = snap.Samples
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("online: reading sample snapshot: %w", err)
-	}
-
-	jPath := filepath.Join(dir, logName)
-	data, err := os.ReadFile(jPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("online: reading sample journal: %w", err)
-	}
-	good := journal.Scan(data, func(payload []byte) bool {
+	l := &SampleLog{cap: capacity, seed: seed, compactEvery: defaultCompactEvery}
+	jl, err := journal.Open(dir, logName, snapshotName, l.loadSnapshot, func(payload []byte) bool {
 		var s Sample
-		if err := json.Unmarshal(payload, &s); err != nil {
-			return false
-		}
-		if s.Seq == 0 {
+		if json.Unmarshal(payload, &s) != nil || s.Seq == 0 {
 			return false
 		}
 		// Journal lines already folded into the snapshot replay as no-ops.
-		if s.Seq <= l.snapTotal {
-			return true
+		if s.Seq > l.snapTotal {
+			l.applyLocked(s)
+			l.tailLen++
 		}
-		l.applyLocked(s)
-		l.tailLen++
 		return true
 	})
-	if good < len(data) {
-		if err := os.Truncate(jPath, int64(good)); err != nil {
-			return nil, fmt.Errorf("online: truncating torn sample journal: %w", err)
-		}
-	}
-
-	f, err := os.OpenFile(jPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("online: opening sample journal: %w", err)
+		return nil, fmt.Errorf("online: opening sample log: %w", err)
 	}
-	l.f = f
+	l.log = jl
 	return l, nil
+}
+
+// loadSnapshot restores the state a compaction saved.
+func (l *SampleLog) loadSnapshot(data []byte) error {
+	var snap logSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return err
+	}
+	l.total = snap.Total
+	l.snapTotal = snap.Total
+	l.samples = snap.Samples
+	return nil
 }
 
 // reservoirSlot returns the replacement slot for the sample with lifetime
@@ -160,15 +136,12 @@ func (l *SampleLog) applyLocked(s Sample) {
 func (l *SampleLog) Append(s Sample) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("online: sample log is closed")
-	}
 	s.Seq = l.total + 1
 	payload, err := json.Marshal(s)
 	if err != nil {
 		return 0, fmt.Errorf("online: encoding sample: %w", err)
 	}
-	if _, err := l.f.Write(journal.EncodeLine(nil, payload)); err != nil {
+	if err := l.log.Append(payload); err != nil {
 		return 0, fmt.Errorf("online: appending sample journal: %w", err)
 	}
 	l.applyLocked(s)
@@ -185,17 +158,7 @@ func (l *SampleLog) Append(s Sample) (uint64, error) {
 func (l *SampleLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// SetCompactEvery adjusts the auto-compaction threshold; n <= 0 disables.
-func (l *SampleLog) SetCompactEvery(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.compactEvery = n
+	return l.log.Sync()
 }
 
 // Compact folds the journal into an atomically installed snapshot and
@@ -203,9 +166,6 @@ func (l *SampleLog) SetCompactEvery(n int) {
 func (l *SampleLog) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("online: sample log is closed")
-	}
 	return l.compactLocked()
 }
 
@@ -215,14 +175,8 @@ func (l *SampleLog) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("online: encoding sample snapshot: %w", err)
 	}
-	if err := journal.WriteFileAtomic(filepath.Join(l.dir, snapshotName), data); err != nil {
-		return fmt.Errorf("online: installing sample snapshot: %w", err)
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("online: truncating sample journal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("online: syncing truncated sample journal: %w", err)
+	if err := l.log.Compact(data); err != nil {
+		return fmt.Errorf("online: compacting sample log: %w", err)
 	}
 	l.snapTotal = l.total
 	l.tailLen = 0
@@ -242,9 +196,6 @@ func (l *SampleLog) Len() int {
 	defer l.mu.Unlock()
 	return len(l.samples)
 }
-
-// Cap returns the reservoir capacity.
-func (l *SampleLog) Cap() int { return l.cap }
 
 // Since returns copies of the retained samples with Seq > after, ascending
 // by Seq — the trainer's per-cycle drain.
@@ -267,17 +218,10 @@ func (l *SampleLog) Since(after uint64) []Sample {
 	return out
 }
 
-// Close flushes and releases the journal file. Closing twice is fine.
+// Close flushes and releases the journal file; Appends fail from here on.
+// Closing twice is fine.
 func (l *SampleLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return err
-	}
-	return l.f.Close()
+	return errors.Join(l.log.Sync(), l.log.Close())
 }

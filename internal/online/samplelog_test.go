@@ -122,7 +122,7 @@ func TestSampleLogCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetCompactEvery(10)
+	l.compactEvery = 10
 	for i := 0; i < 25; i++ {
 		if _, err := l.Append(mkSample(i)); err != nil {
 			t.Fatal(err)

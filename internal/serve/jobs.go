@@ -281,18 +281,18 @@ func (r *Runner) recover() {
 		log.Printf("serve: job store replay: %v", err)
 		return
 	}
-	folded := foldRecords(recs)
+	folded := FoldJobRecords(recs)
 	ids := make([]string, 0, len(folded))
 	for _, rec := range folded {
-		ids = append(ids, rec.id)
+		ids = append(ids, rec.ID)
 	}
 	r.seq = maxRunnerSeq(ids)
 	for _, rec := range folded {
-		j := &Job{id: rec.id, req: rec.req, created: time.Now()}
-		if isTerminal(rec.state) {
-			j.state = rec.state
-			j.err = rec.err
-			j.result = rec.result
+		j := &Job{id: rec.ID, req: *rec.Req, created: time.Now()}
+		if isTerminal(rec.State) {
+			j.state = rec.State
+			j.err = rec.Err
+			j.result = rec.Result
 			j.finished = time.Now()
 			r.jobs[j.id] = j
 			r.order = append(r.order, j.id)

@@ -10,14 +10,16 @@ import (
 	"time"
 )
 
-// requestIDHeader carries the per-request correlation ID; an incoming value
+// RequestIDHeader carries the per-request correlation ID; an incoming value
 // is respected (gateway-assigned IDs propagate), otherwise one is minted.
-const requestIDHeader = "X-Request-Id"
+// The cluster router forwards it, so one ID spans client -> router ->
+// replica.
+const RequestIDHeader = "X-Request-Id"
 
-// jobIDHeader carries a router-minted job ID on POST /v1/sim: the cluster
+// JobIDHeader carries a router-minted job ID on POST /v1/sim: the cluster
 // router assigns IDs so the job shards deterministically and later
 // GET /v1/jobs/{id} calls hash to the same replica.
-const jobIDHeader = "X-Job-Id"
+const JobIDHeader = "X-Job-Id"
 
 // idPrefix distinguishes IDs minted by different server instances.
 var idPrefix = func() string {
@@ -35,22 +37,23 @@ func newRequestID() string {
 	return fmt.Sprintf("%s-%06d", idPrefix, idCounter.Add(1))
 }
 
-// statusWriter records the status code written by a handler.
-type statusWriter struct {
+// StatusWriter records the status code written by a handler, for the
+// per-route metrics of the replica and router middleware.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int // 0 until the handler writes a header or body
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.Status == 0 {
+		w.Status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+func (w *StatusWriter) Write(b []byte) (int, error) {
+	if w.Status == 0 {
+		w.Status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
 }
@@ -61,24 +64,24 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // panic becomes a 500 and a counted fault, not a dead connection).
 func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(requestIDHeader)
+		id := r.Header.Get(RequestIDHeader)
 		if id == "" {
 			id = newRequestID()
 		}
-		w.Header().Set(requestIDHeader, id)
+		w.Header().Set(RequestIDHeader, id)
 
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		span := s.tracer.Start(pattern)
 		defer func() {
 			if p := recover(); p != nil {
 				log.Printf("serve: %s %s [%s]: panic: %v", r.Method, r.URL.Path, id, p)
-				if sw.status == 0 {
+				if sw.Status == 0 {
 					http.Error(sw, "internal error", http.StatusInternalServerError)
 				}
 			}
 			span.End()
-			s.metrics.Record(pattern, sw.status, time.Since(start))
+			s.metrics.Record(pattern, sw.Status, time.Since(start))
 		}()
 		h(sw, r)
 	}

@@ -98,16 +98,6 @@ func NewRegistry(dir string) *Registry {
 	return &Registry{dir: dir, retain: DefaultRetainVersions, chains: make(map[string]*chain)}
 }
 
-// SetRetainVersions adjusts the per-model rollback window (minimum 1).
-func (r *Registry) SetRetainVersions(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.retain = n
-	r.mu.Unlock()
-}
-
 // validName rejects names that would escape the artifacts directory.
 func validName(name string) error {
 	if name == "" {

@@ -150,7 +150,7 @@ func TestRegistryRetention(t *testing.T) {
 	dir := t.TempDir()
 	writeModel(t, dir, "model-1", []int{21, 16, 8}, 1)
 	r := NewRegistry(dir)
-	r.SetRetainVersions(3)
+	r.retain = 3
 	for i := 0; i < 6; i++ {
 		if _, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, int64(10+i)), "test"); err != nil {
 			t.Fatal(err)

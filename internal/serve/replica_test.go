@@ -6,6 +6,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -309,8 +310,20 @@ func TestFoldRecordsTornJournal(t *testing.T) {
 		{ID: "b", State: StateRunning}, // queued record lost: dropped
 		{ID: "a", State: StateRunning},
 	}
-	folded := foldRecords(recs)
-	if len(folded) != 1 || folded[0].id != "a" || folded[0].state != StateRunning {
+	folded := FoldJobRecords(recs)
+	if len(folded) != 1 || folded[0].ID != "a" || folded[0].State != StateRunning {
 		t.Fatalf("folded = %+v", folded)
+	}
+}
+
+// The cluster job store writes the fold as its snapshot: a JSON array,
+// also when every record folds away.
+func TestFoldJobRecordsEmptyIsArray(t *testing.T) {
+	data, err := json.Marshal(FoldJobRecords([]JobRecord{{ID: "lost", State: StateDone}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "[]" {
+		t.Fatalf("empty fold marshals to %s, want []", data)
 	}
 }

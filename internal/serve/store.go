@@ -29,46 +29,39 @@ type JobStore interface {
 	Replay() ([]JobRecord, error)
 }
 
-// recoveredJob is the folded view of one job's journal records.
-type recoveredJob struct {
-	id     string
-	state  JobState
-	req    SimRequest
-	err    string
-	result *SimResult
-}
-
-// foldRecords reduces a replayed journal to per-job final states in
-// first-appearance order. Records without a preceding queued record (the
-// queued line was lost to a torn journal) are dropped: there is no request
-// to re-execute and no client holding that ID from this incarnation.
-func foldRecords(recs []JobRecord) []recoveredJob {
-	byID := make(map[string]*recoveredJob)
-	var order []string
+// FoldJobRecords reduces journaled records to one record per job, in
+// first-appearance order: the queued request plus the last observed state,
+// error and result. Records of a job whose queued record was lost (a torn
+// journal) are dropped: there is no request to re-execute and no client
+// holding that ID from this incarnation. The runner folds the replayed
+// journal on recovery; the cluster journal folds into its snapshot on
+// compaction. With each job's queued record first, as the runner journals
+// it, folding a snapshot followed by the records it was folded from gives
+// the snapshot again, so a crash between the snapshot install and the
+// journal truncate recovers the same jobs.
+func FoldJobRecords(recs []JobRecord) []JobRecord {
+	out := []JobRecord{}
+	at := make(map[string]int)
 	for _, rec := range recs {
-		j, ok := byID[rec.ID]
+		i, ok := at[rec.ID]
 		if !ok {
-			if rec.Req == nil {
-				continue // torn journal: no request to recover
+			if rec.Req != nil {
+				at[rec.ID] = len(out)
+				out = append(out, rec)
 			}
-			j = &recoveredJob{id: rec.ID, state: rec.State, req: *rec.Req}
-			byID[rec.ID] = j
-			order = append(order, rec.ID)
+			continue
 		}
-		j.state = rec.State
+		j := &out[i]
+		j.State = rec.State
 		if rec.Req != nil {
-			j.req = *rec.Req
+			j.Req = rec.Req
 		}
 		if rec.Err != "" {
-			j.err = rec.Err
+			j.Err = rec.Err
 		}
 		if rec.Result != nil {
-			j.result = rec.Result
+			j.Result = rec.Result
 		}
-	}
-	out := make([]recoveredJob, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
 	}
 	return out
 }
