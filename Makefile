@@ -17,10 +17,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# topil-lint enforces the repo's own invariants: determinism (detrand),
-# mutex hygiene (lockcheck), unit annotations (unitcheck), process-exit
-# discipline (exitcheck), chaos containment (testkitonly) and
-# observability discipline (telemetrycheck). See docs/ANALYSIS.md.
+# topil-lint enforces the repo's own invariants, the ones go vet cannot
+# express: determinism (detrand), lock pairing and self-deadlocks
+# (lockcheck; mutex copies are vet's copylocks), unit annotations
+# (unitcheck), process-exit discipline (exitcheck), chaos containment
+# (testkitonly) and observability discipline (telemetrycheck), plus the
+# concurrency and lifecycle rules listed in docs/ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/topil-lint ./...
 

@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -172,7 +173,20 @@ func run() error {
 		log.Printf("http shutdown: %v", err)
 	}
 	if set != nil {
-		set.Close()
+		// Drain the replicas together under the same budget, so their
+		// in-flight sim jobs finish and journal a terminal record. (The
+		// deferred set.Close is then a no-op; alone it would kill them.)
+		var wg sync.WaitGroup
+		for i := range set.Names() {
+			if rep := set.Replica(i); rep != nil {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rep.Shutdown(drainCtx)
+				}()
+			}
+		}
+		wg.Wait()
 	}
 	log.Print("drained, bye")
 	return <-errCh

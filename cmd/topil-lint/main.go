@@ -2,8 +2,9 @@
 // (internal/analysis) over the given package patterns.
 //
 // Per-package rules: detrand (no global RNG or wall clock in the
-// deterministic packages), lockcheck (mutex copy, Lock/Unlock and
-// RLock/RUnlock pairing on every path, RLock→Lock upgrade deadlocks),
+// deterministic packages), lockcheck (Lock/Unlock and RLock/RUnlock
+// pairing on every path, double-lock and RLock→Lock upgrade deadlocks;
+// mutex copies are left to go vet's copylocks),
 // unitcheck (unit annotations on physical float64 fields and
 // parameters), exitcheck (no os.Exit / log.Fatal / undocumented panic in
 // library code), testkitonly (the fault-injection harness

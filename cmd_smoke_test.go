@@ -19,8 +19,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/serve"
 )
 
 var (
@@ -350,5 +352,95 @@ func TestClusterJobStoreRecovery(t *testing.T) {
 			t.Fatalf("job %s stuck in %s after restart", snap.ID, cur.State)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestClusterDrainFinishesJobs sends SIGINT to topil-cluster while an
+// in-process replica runs a sim job. The -drain budget must cover the
+// replicas, not only the router: the job finishes and its done record
+// reaches the replica's journal before the process exits.
+func TestClusterDrainFinishesJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildCommands(t)
+
+	modelsDir := t.TempDir()
+	writeTestModel(t, modelsDir, "model-1")
+	storeRoot := t.TempDir()
+	addr := freePort(t)
+	cmd := exec.Command(bins["topil-cluster"],
+		"-addr", addr, "-n", "1", "-models", modelsDir,
+		"-store-root", storeRoot, "-drain", "60s")
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer func() {
+		cmd.Process.Kill()
+		<-exited
+	}()
+	base := "http://" + addr
+	waitHealthy(t, base, 10*time.Second)
+
+	// About a second of wall time on a 2-CPU host: still running when the
+	// signal lands, well inside the drain budget.
+	body := `{"policy":"GTS/ondemand","duration":40000,"numJobs":4,"rate":1}`
+	resp, err := http.Post(base+"/v1/sim", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || snap.ID == "" {
+		t.Fatalf("submit: %d %+v %v", resp.StatusCode, snap, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); snap.State != "running"; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running (state %q)", snap.ID, snap.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+		resp, err := http.Get(base + "/v1/jobs/" + snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		exited <- err // for the deferred cleanup
+		if err != nil {
+			t.Fatalf("topil-cluster exited uncleanly after SIGINT: %v", err)
+		}
+	case <-time.After(90 * time.Second):
+		t.Fatal("topil-cluster did not exit within 90s of SIGINT")
+	}
+
+	store, err := cluster.OpenJournalStore(filepath.Join(storeRoot, "replica-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	recs, err := store.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := serve.FoldJobRecords(recs)
+	if len(jobs) != 1 || jobs[0].ID != snap.ID || jobs[0].State != serve.StateDone {
+		t.Fatalf("journal after drain = %+v, want job %s done", jobs, snap.ID)
 	}
 }

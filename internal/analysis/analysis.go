@@ -1,5 +1,6 @@
-// Package analysis is a stdlib-only static-analysis engine that enforces
-// the repository's determinism, concurrency and physical-unit invariants.
+// Package analysis is a static-analysis engine, built on the standard
+// library, that enforces the repository's determinism, concurrency and
+// physical-unit invariants.
 //
 // The reproduction's claims rest on properties that ordinary Go tooling
 // does not check: identical seeds must yield identical imitation-learning
@@ -7,9 +8,9 @@
 // simulation or training packages), the Eq. 1 DVFS arithmetic mixes
 // frequencies, temperatures and powers (so every exported physical field
 // must declare its unit), and the serving stack is concurrency-heavy (so
-// mutexes must not be copied or leaked). This package machine-checks those
-// conventions on every `make check`, the same way production stacks gate
-// merges on bespoke lints next to vet and the race detector.
+// locks must not leak). This package machine-checks those conventions on
+// every `make check`, the same way production stacks gate merges on
+// bespoke lints next to vet and the race detector.
 //
 // The engine is built purely on go/parser and go/types with a source
 // importer; it adds no module dependencies. (One analyzer, hotalloc, is
@@ -23,10 +24,11 @@
 //   - detrand:   no global math/rand, crypto/rand or wall-clock reads
 //     (time.Now, time.Since) inside the deterministic packages; RNGs must
 //     flow from an explicit seeded *rand.Rand.
-//   - lockcheck: no value receivers or struct copies for types containing
-//     sync.Mutex/sync.RWMutex, every Lock/RLock must be released on all
-//     paths of the function that acquired it (directly or via defer), and
-//     an RLock must not be upgraded to a Lock while still held.
+//   - lockcheck: every Lock/RLock must be released on all paths of the
+//     function that acquired it (directly or via defer), a held mutex must
+//     not be locked again, and an RLock must not be upgraded to a Lock
+//     while still held. Mutex copies are go vet's copylocks pass, which
+//     scripts/check.sh runs.
 //   - unitcheck: exported float64 struct fields and exported-function
 //     parameters named like physical quantities (Freq, Temp, Power,
 //     Voltage, Energy, IPS, Latency) must carry a unit annotation, as
@@ -295,4 +297,12 @@ func relativize(base, file string) string {
 		return file
 	}
 	return rel
+}
+
+// hasSegments reports whether the slash-separated import path contains
+// seq (one or more whole segments, e.g. "cmd" or "internal/telemetry").
+// Matching segments rather than a module prefix also covers fixture trees
+// that mirror the layout under testdata.
+func hasSegments(path, seq string) bool {
+	return strings.Contains("/"+path+"/", "/"+seq+"/")
 }

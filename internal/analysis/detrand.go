@@ -66,19 +66,11 @@ func DetRand() *Analyzer {
 }
 
 // isDeterministic reports whether the package path names one of the
-// deterministic packages, i.e. contains consecutive segments
-// "internal/<name>". This also matches fixture trees that mirror the
-// layout under testdata.
+// deterministic packages.
 func isDeterministic(path string) bool {
-	segs := strings.Split(path, "/")
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] != "internal" {
-			continue
-		}
-		for _, name := range DeterministicPackages {
-			if segs[i+1] == name {
-				return true
-			}
+	for _, name := range DeterministicPackages {
+		if hasSegments(path, "internal/"+name) {
+			return true
 		}
 	}
 	return false

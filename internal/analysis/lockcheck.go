@@ -4,53 +4,41 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// LockCheck returns the mutex-hygiene analyzer. It enforces two families
-// of invariants on every package:
-//
-//   - No copies: types whose value (transitively) contains a sync.Mutex or
-//     sync.RWMutex must not be used as value receivers, passed or returned
-//     by value, or copied by assignment — a copied lock guards nothing.
-//   - No leaks: every mu.Lock()/RLock() must be released in the acquiring
-//     function, either by a defer or by an Unlock on every return path.
-//     Functions that hand a held lock to their caller (or release one the
-//     caller acquired) are the exception and must say so with
-//     //lint:ignore lockcheck <reason>.
+// LockCheck returns the mutex-hygiene analyzer. Every mu.Lock()/RLock()
+// must be released in the acquiring function, either by a defer or by an
+// Unlock on every return path; a second Lock of a held mutex and an
+// RLock→Lock upgrade are self-deadlocks. Functions that hand a held lock
+// to their caller (or release one the caller acquired) are the exception
+// and must say so with //lint:ignore lockcheck <reason>. Copies of
+// mutex-bearing values are go vet's copylocks pass, not this analyzer's.
 func LockCheck() *Analyzer {
 	a := &Analyzer{
 		Name: "lockcheck",
-		Doc: "forbid value receivers, by-value parameters and copies of types " +
-			"containing sync.Mutex/sync.RWMutex, and require every Lock/RLock " +
-			"to be paired with an Unlock via defer or on all return paths of " +
-			"the acquiring function",
+		Doc: "require every Lock/RLock to be paired with an Unlock via defer or " +
+			"on all return paths of the acquiring function, and flag re-locking " +
+			"a held mutex or upgrading an RLock to a Lock (mutex copies are " +
+			"go vet's copylocks)",
 	}
 	a.Run = runLockCheck
 	return a
 }
 
 func runLockCheck(pass *Pass) {
-	lc := &lockChecker{pass: pass, seen: map[types.Type]bool{}}
+	lc := &lockChecker{pass: pass}
 	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			lc.checkReceiver(fd)
-			lc.checkSignature(fd.Type)
-			if fd.Body != nil {
-				lc.checkBody(fd.Body)
-			}
-		}
-		// Copy checks walk everything, including expressions outside
-		// function bodies (package-level var initialisers).
-		ast.Inspect(f, lc.checkCopies)
-		// Function literals get the same body analysis as declarations.
+		// Declarations and function literals get the same body analysis,
+		// each with its own state.
 		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				lc.checkSignature(fl.Type)
-				lc.checkBody(fl.Body)
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					lc.checkBody(fn.Body)
+				}
+			case *ast.FuncLit:
+				lc.checkBody(fn.Body)
 			}
 			return true
 		})
@@ -59,163 +47,7 @@ func runLockCheck(pass *Pass) {
 
 type lockChecker struct {
 	pass *Pass
-	seen map[types.Type]bool // containsLock memo
 }
-
-// containsLock reports whether a value of type t transitively embeds a
-// sync.Mutex or sync.RWMutex, so that copying the value copies lock state.
-func (lc *lockChecker) containsLock(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if v, ok := lc.seen[t]; ok {
-		return v
-	}
-	lc.seen[t] = false // break reference cycles
-	result := false
-	switch u := t.(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			if obj.Name() == "Mutex" || obj.Name() == "RWMutex" {
-				result = true
-				break
-			}
-		}
-		result = lc.containsLock(u.Underlying())
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lc.containsLock(u.Field(i).Type()) {
-				result = true
-				break
-			}
-		}
-	case *types.Array:
-		result = lc.containsLock(u.Elem())
-	}
-	lc.seen[t] = result
-	return result
-}
-
-// typeOf resolves the type of e, or nil when type-checking failed there.
-func (lc *lockChecker) typeOf(e ast.Expr) types.Type {
-	if tv, ok := lc.pass.Pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// checkReceiver flags value receivers on lock-containing types.
-func (lc *lockChecker) checkReceiver(fd *ast.FuncDecl) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return
-	}
-	field := fd.Recv.List[0]
-	t := lc.typeOf(field.Type)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return
-	}
-	if lc.containsLock(t) {
-		lc.pass.Reportf(field.Pos(),
-			"method %s has a value receiver of type %s which contains a mutex; use a pointer receiver",
-			fd.Name.Name, types.TypeString(t, types.RelativeTo(lc.pass.Pkg.Types)))
-	}
-}
-
-// checkSignature flags by-value lock-containing parameters and results.
-func (lc *lockChecker) checkSignature(ft *ast.FuncType) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := lc.typeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if lc.containsLock(t) {
-				lc.pass.Reportf(field.Pos(),
-					"%s of type %s contains a mutex and is passed by value; use a pointer",
-					what, types.TypeString(t, types.RelativeTo(lc.pass.Pkg.Types)))
-			}
-		}
-	}
-	check(ft.Params, "parameter")
-	check(ft.Results, "result")
-}
-
-// fresh reports whether e denotes a brand-new value (no prior lock state
-// to copy): composite literals, calls, conversions and parenthesised
-// forms thereof.
-func fresh(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.CompositeLit, *ast.CallExpr:
-		return true
-	case *ast.ParenExpr:
-		return fresh(v.X)
-	}
-	return false
-}
-
-// checkCopies flags assignments and range clauses that copy lock state.
-// (By-value parameters and results are reported at the signature instead,
-// so call sites and returns are not double-flagged here.)
-func (lc *lockChecker) checkCopies(n ast.Node) bool {
-	report := func(e ast.Expr, t types.Type) {
-		lc.pass.Reportf(e.Pos(),
-			"copies lock state: value of type %s contains a mutex; copy a pointer instead",
-			types.TypeString(t, types.RelativeTo(lc.pass.Pkg.Types)))
-	}
-	switch st := n.(type) {
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			if fresh(rhs) {
-				continue
-			}
-			if t := lc.typeOf(rhs); t != nil && lc.containsLock(t) {
-				report(rhs, t)
-			}
-		}
-	case *ast.GenDecl:
-		for _, spec := range st.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, rhs := range vs.Values {
-				if fresh(rhs) {
-					continue
-				}
-				if t := lc.typeOf(rhs); t != nil && lc.containsLock(t) {
-					report(rhs, t)
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		if st.Value != nil {
-			t := lc.typeOf(st.Value)
-			if t == nil {
-				// A `for _, v := range xs` value lands in Defs, not Types.
-				if id, ok := st.Value.(*ast.Ident); ok {
-					if obj := lc.pass.Pkg.Info.Defs[id]; obj != nil {
-						t = obj.Type()
-					}
-				}
-			}
-			if t != nil && lc.containsLock(t) {
-				report(st.Value, t)
-			}
-		}
-	}
-	return true
-}
-
-// ---- Lock/Unlock pairing ------------------------------------------------
 
 // lockOpKind classifies the four sync (R)Lock/(R)Unlock methods.
 type lockOpKind int
@@ -443,17 +275,10 @@ func (lc *lockChecker) checkBody(body *ast.BlockStmt) {
 
 // lockName renders a state key back into the source-level call.
 func lockName(key string) string {
-	if k, ok := cutSuffix(key, "/R"); ok {
+	if k, ok := strings.CutSuffix(key, "/R"); ok {
 		return k + ".RLock()"
 	}
 	return key + ".Lock()"
-}
-
-func cutSuffix(s, suffix string) (string, bool) {
-	if len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix {
-		return s[:len(s)-len(suffix)], true
-	}
-	return s, false
 }
 
 // applyDefer records deferred releases: a direct defer mu.Unlock(), or a

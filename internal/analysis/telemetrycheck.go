@@ -6,6 +6,8 @@ import (
 	"go/types"
 	"strconv"
 	"strings"
+
+	"repro/internal/telemetry"
 )
 
 // metricConstructors are the internal/telemetry calls whose first argument
@@ -32,32 +34,10 @@ func TelemetryCheck() *Analyzer {
 	return a
 }
 
-// isTelemetryPath reports whether the import path names the telemetry
-// package itself, i.e. contains consecutive segments "internal/telemetry".
-// This also matches fixture trees mirroring the layout under testdata.
-func isTelemetryPath(path string) bool {
-	segs := strings.Split(path, "/")
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] == "internal" && segs[i+1] == "telemetry" {
-			return true
-		}
-	}
-	return false
-}
-
-// isCmdPath reports whether the package lives under a cmd/ tree. Binaries
-// wire wall-clocks and trace files together, so the rule exempts them.
-func isCmdPath(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "cmd" {
-			return true
-		}
-	}
-	return false
-}
-
 func runTelemetryCheck(pass *Pass) {
-	if isTelemetryPath(pass.Pkg.Path) || isCmdPath(pass.Pkg.Path) {
+	// Binaries wire wall-clocks and trace files together, so the rule
+	// exempts everything under a cmd/ tree.
+	if hasSegments(pass.Pkg.Path, "internal/telemetry") || hasSegments(pass.Pkg.Path, "cmd") {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
@@ -97,7 +77,7 @@ func telemetryImports(pass *Pass, f *ast.File) (telemetryLocals, timeLocals map[
 		case path == "expvar":
 			pass.Reportf(imp.Pos(),
 				"expvar bypasses the telemetry registry; export metrics through internal/telemetry instead")
-		case isTelemetryPath(path) && name != "_" && name != ".":
+		case hasSegments(path, "internal/telemetry") && name != "_" && name != ".":
 			telemetryLocals[name] = true
 		case path == "time" && name != "_" && name != ".":
 			timeLocals[name] = true
@@ -117,7 +97,7 @@ func telemetryCallee(pass *Pass, call *ast.CallExpr, telemetryLocals map[string]
 		return "", false
 	}
 	if obj := pass.Pkg.Info.Uses[sel.Sel]; obj != nil {
-		if pkg := obj.Pkg(); pkg != nil && isTelemetryPath(pkg.Path()) {
+		if pkg := obj.Pkg(); pkg != nil && hasSegments(pkg.Path(), "internal/telemetry") {
 			return sel.Sel.Name, true
 		}
 		return "", false
@@ -159,9 +139,9 @@ func checkNoClockRead(pass *Pass, arg ast.Expr, timeLocals map[string]bool) {
 	})
 }
 
-// checkMetricName validates a literal metric family name against the
-// Prometheus data model. Non-literal names are skipped: they are resolved
-// at runtime, where telemetry.Registry panics on an invalid name.
+// checkMetricName validates a literal metric family name with
+// telemetry.ValidName, the check telemetry.Registry panics on at runtime.
+// Non-literal names are skipped: they are resolved at runtime.
 func checkMetricName(pass *Pass, arg ast.Expr) {
 	lit, ok := arg.(*ast.BasicLit)
 	if !ok || lit.Kind != token.STRING {
@@ -171,25 +151,8 @@ func checkMetricName(pass *Pass, arg ast.Expr) {
 	if err != nil {
 		return
 	}
-	if !validMetricName(name) {
+	if !telemetry.ValidName(name) {
 		pass.Reportf(lit.Pos(),
 			"metric name %q does not match the Prometheus charset [a-zA-Z_:][a-zA-Z0-9_:]*", name)
 	}
-}
-
-// validMetricName mirrors telemetry.ValidName without importing the
-// package (the analyzer must stay dependency-free).
-func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_' || r == ':':
-		case r >= '0' && r <= '9' && i > 0:
-		default:
-			return false
-		}
-	}
-	return true
 }

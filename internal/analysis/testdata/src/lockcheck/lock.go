@@ -3,54 +3,10 @@ package lockcheck
 
 import "sync"
 
-// Counter holds a mutex; copying it copies lock state.
+// Counter guards n with a mutex.
 type Counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-// Wrapper embeds a lock-bearing struct transitively.
-type Wrapper struct {
-	inner Counter
-}
-
-// ByValue has a value receiver on a mutex-bearing type.
-func (c Counter) ByValue() int { // want "value receiver"
-	return c.n
-}
-
-// ByPointer is the correct form.
-func (c *Counter) ByPointer() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// TakesByValue copies the lock through a parameter.
-func TakesByValue(c Counter) {} // want "passed by value"
-
-// TakesWrapped copies a transitively lock-bearing struct.
-func TakesWrapped(w Wrapper) {} // want "passed by value"
-
-// TakesPointer is fine.
-func TakesPointer(c *Counter) {}
-
-// CopyAssign copies an existing value by assignment.
-func CopyAssign(c *Counter) {
-	cp := *c // want "copies lock state"
-	cp.n++
-	fresh := Counter{} // composite literal: brand new, no copied state
-	fresh.n++
-}
-
-// RangeCopy copies each element into the loop variable.
-func RangeCopy(cs []Counter) {
-	for _, c := range cs { // want "copies lock state"
-		_ = c.n
-	}
-	for i := range cs { // index form is fine
-		cs[i].n++
-	}
 }
 
 // LeakNoUnlock never releases.

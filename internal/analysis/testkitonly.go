@@ -20,21 +20,8 @@ func TestkitOnly() *Analyzer {
 	return a
 }
 
-// isTestkitPath reports whether the import path names the testkit package,
-// i.e. contains consecutive segments "internal/testkit". This also matches
-// fixture trees mirroring the layout under testdata.
-func isTestkitPath(path string) bool {
-	segs := strings.Split(path, "/")
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] == "internal" && segs[i+1] == "testkit" {
-			return true
-		}
-	}
-	return false
-}
-
 func runTestkitOnly(pass *Pass) {
-	if isTestkitPath(pass.Pkg.Path) {
+	if hasSegments(pass.Pkg.Path, "internal/testkit") {
 		return
 	}
 	// The loader parses only non-test sources, so every import seen here is
@@ -42,7 +29,7 @@ func runTestkitOnly(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if isTestkitPath(path) {
+			if hasSegments(path, "internal/testkit") {
 				pass.Reportf(imp.Pos(),
 					"%s imported outside _test.go files; fault injection must stay out of production binaries",
 					path)

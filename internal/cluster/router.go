@@ -140,7 +140,7 @@ func (s *replicaState) retryAfter() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	jobs := s.health.Jobs
-	ra := 1 + (4*jobs.Depth)/maxInt(jobs.Cap, 1)
+	ra := 1 + (4*jobs.Depth)/max(jobs.Cap, 1)
 	if ra > 5 {
 		ra = 5
 	}
@@ -736,11 +736,4 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

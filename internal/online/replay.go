@@ -66,7 +66,7 @@ func SimReplay(duration float64, apps int) ReplayFunc {
 			return ReplayMetrics{}, fmt.Errorf("online: replay admitted no applications")
 		}
 		return ReplayMetrics{
-			ViolationFrac: float64(res.Violations) / float64(len(res.Apps)),
+			ViolationFrac: res.ViolationFrac(),
 			PeakTemp:      res.PeakTemp,
 		}, nil
 	}

@@ -387,42 +387,3 @@ func (r *Registry) List() ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// Backend returns an npu.Backend serving the named model with the NPU's
-// latency semantics — the registry-backed device the sim runner hands to
-// TOP-IL. The backend binds the active version at call time: a sim job
-// keeps the model it started with even if the chain swaps mid-run. (The
-// HTTP inference path uses Source instead, which re-binds per batch.)
-func (r *Registry) Backend(name string) (*ModelBackend, error) {
-	a, err := r.activeArtifact(name)
-	if err != nil {
-		return nil, err
-	}
-	return &ModelBackend{name: name, art: a}, nil
-}
-
-// ModelBackend adapts one bound artifact to npu.Backend with the NPU
-// latency model (batched inference at near-constant invocation cost). It
-// also offers the NPU's non-blocking call, so it satisfies npu conformance
-// including InferAsync agreement.
-type ModelBackend struct {
-	name string
-	art  *Artifact
-}
-
-// Name implements npu.Backend.
-func (b *ModelBackend) Name() string { return "serve/" + b.name }
-
-// Version returns the bound artifact's version.
-func (b *ModelBackend) Version() int { return b.art.version }
-
-// Infer implements npu.Backend.
-func (b *ModelBackend) Infer(batch [][]float64) [][]float64 { return b.art.Infer(batch) }
-
-// Latency implements npu.Backend.
-func (b *ModelBackend) Latency(batchSize int) time.Duration { return b.art.Latency(batchSize) }
-
-// InferAsync mirrors npu.NPU.InferAsync: a non-blocking batched inference.
-func (b *ModelBackend) InferAsync(batch [][]float64) <-chan npu.Result {
-	return b.art.InferAsync(batch)
-}

@@ -62,19 +62,23 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 }
 
 // TestRegistryBackendConformance runs the npu Backend contract over the
-// registry-backed serving device, including InferAsync agreement.
+// artifact the registry serves, including InferAsync agreement.
 func TestRegistryBackendConformance(t *testing.T) {
 	dir := t.TempDir()
 	m := writeModel(t, dir, "model-1", []int{21, 32, 8}, 3)
 	r := NewRegistry(dir)
-	b, err := r.Backend("model-1")
+	src, err := r.Source("model-1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	b, _ := src.Acquire()
+	if _, ok := b.(npu.AsyncBackend); !ok {
+		t.Fatalf("served artifact %T does not offer InferAsync", b)
 	}
 	if err := npu.Conformance(b, m, testInputs(6, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "serve/model-1" {
+	if b.Name() != "serve/model-1@v1" {
 		t.Errorf("backend name %q", b.Name())
 	}
 }

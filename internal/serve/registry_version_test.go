@@ -31,12 +31,13 @@ func TestRegistryIgnoresRefreshedDiskArtifact(t *testing.T) {
 	if v, err := r.ActiveVersion("model-1"); err != nil || v != 1 {
 		t.Fatalf("ActiveVersion = %d, %v; want 1", v, err)
 	}
-	b, err := r.Backend("model-1")
+	src, err := r.Source("model-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Version() != 1 {
-		t.Fatalf("Backend bound version %d, want 1", b.Version())
+	b, v := src.Acquire()
+	if v != 1 {
+		t.Fatalf("Source bound version %d, want 1", v)
 	}
 	in := testInputs(1, 4)
 	if got, want := b.Infer(in)[0], m1.Predict(in[0]); len(got) != len(want) {

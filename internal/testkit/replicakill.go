@@ -43,7 +43,7 @@ func (c *Chaos) ReplicaKillPlan(replicas, kills, windowMs int) []ReplicaKill {
 		plan[i] = ReplicaKill{
 			AtMs:           lo + c.rng.Intn(span),
 			Replica:        victims[i],
-			RestartAfterMs: windowMs/10 + c.rng.Intn(maxInt(windowMs*2/5, 1)),
+			RestartAfterMs: windowMs/10 + c.rng.Intn(max(windowMs*2/5, 1)),
 		}
 	}
 	sort.Slice(plan, func(a, b int) bool {
@@ -57,12 +57,4 @@ func (c *Chaos) ReplicaKillPlan(replicas, kills, windowMs int) []ReplicaKill {
 			k.AtMs, k.Replica, k.RestartAfterMs)
 	}
 	return plan
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -240,6 +240,7 @@ fi
 echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
+# vet's copylocks pass is the mutex-copy gate; topil-lint does not repeat it.
 go vet ./...
 # perfbench is its own module (replace repro => ../), so the root vet never
 # sees it; vet it here so an internal API change that breaks the benchmark
