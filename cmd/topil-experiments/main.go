@@ -9,131 +9,23 @@
 // (chrome://tracing, Perfetto) span file of every simulation run in
 // sim-time, likewise byte-identical at any -j value.
 //
-// Experiments: fig1 (motivational), fig3 (NAS), fig5 (migration overhead),
-// fig7 (IL vs RL illustrative), fig8a/fig8b (main, fan / no fan, fig8b also
-// prints Fig. 10), fig11 (single unseen apps), fig12 (run-time overhead),
-// modeleval (model in isolation), energy (extension), ablations.
+// The experiments, their report order and their CSV files are those of
+// experiments.Catalogue; an unknown -fig name is an error that lists them.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
-
-// csvFile is one CSV artifact an experiment can emit.
-type csvFile struct {
-	name  string
-	write func(io.Writer) error
-}
-
-// renderer is one experiment entry: name and a function producing a report
-// plus optional CSV artifacts.
-type renderer struct {
-	name string
-	run  func(p *experiments.Pipeline) (string, []csvFile, error)
-}
-
-func allExperiments() []renderer {
-	return []renderer{
-		{"fig1", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig1Motivational()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"fig1.csv", r.WriteCSV}}, nil
-		}},
-		{"fig3", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig3GridSearch()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), nil, nil
-		}},
-		{"fig5", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig5MigrationOverhead()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"fig5.csv", r.WriteCSV}}, nil
-		}},
-		{"fig7", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig7Illustrative()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"fig7.csv", r.WriteCSV}}, nil
-		}},
-		{"fig8a", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig8Main(true)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"fig8a.csv", r.WriteCSV}}, nil
-		}},
-		{"fig8b", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig8Main(false)
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render() + "\n" + r.RenderFig10(), []csvFile{
-				{"fig8b.csv", r.WriteCSV},
-				{"fig10.csv", r.WriteFig10CSV},
-			}, nil
-		}},
-		{"fig11", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig11SingleApp()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"fig11.csv", r.WriteCSV}}, nil
-		}},
-		{"fig12", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.Fig12Overhead()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"fig12.csv", r.WriteCSV}}, nil
-		}},
-		{"modeleval", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.ModelEvaluation()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), nil, nil
-		}},
-		{"energy", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			r, err := p.EnergyAnalysis()
-			if err != nil {
-				return "", nil, err
-			}
-			return r.Render(), []csvFile{{"energy.csv", r.WriteCSV}}, nil
-		}},
-		{"ablations", func(p *experiments.Pipeline) (string, []csvFile, error) {
-			rs, err := p.DatasetAblations()
-			if err != nil {
-				return "", nil, err
-			}
-			dvfs, err := p.AblationDVFSStep()
-			if err != nil {
-				return "", nil, err
-			}
-			var b strings.Builder
-			for _, r := range append(rs, dvfs) {
-				b.WriteString(r.Render() + "\n")
-			}
-			return b.String(), nil, nil
-		}},
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -154,6 +46,10 @@ func main() {
 	if *jobs < 0 {
 		log.Fatalf("-j %d: worker count must be >= 0", *jobs)
 	}
+	exps, err := selectExperiments(*figs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	scale := experiments.FullScale()
 	if *quick {
 		scale = experiments.QuickScale()
@@ -173,38 +69,28 @@ func main() {
 		}
 	}
 
-	selected := map[string]bool{}
-	if *figs != "" {
-		for _, f := range strings.Split(*figs, ",") {
-			selected[strings.TrimSpace(f)] = true
-		}
-	}
-
 	var report strings.Builder
 	report.WriteString(fmt.Sprintf("TOP-IL experiment reproduction (%s scale)\n\n", scale.Name))
-	for _, exp := range allExperiments() {
-		if len(selected) > 0 && !selected[exp.name] {
-			continue
-		}
+	for _, exp := range exps {
 		start := time.Now()
-		log.Printf("running %s ...", exp.name)
-		out, csvs, err := exp.run(p)
+		log.Printf("running %s ...", exp.Name)
+		out, csvs, err := exp.Run(p)
 		if err != nil {
-			log.Fatalf("%s: %v", exp.name, err)
+			log.Fatalf("%s: %v", exp.Name, err)
 		}
-		section := fmt.Sprintf("==== %s (%.1fs) ====\n%s\n", exp.name,
+		section := fmt.Sprintf("==== %s (%.1fs) ====\n%s\n", exp.Name,
 			time.Since(start).Seconds(), out)
 		fmt.Print(section)
 		report.WriteString(section)
 
 		if *csvDir != "" {
 			for _, c := range csvs {
-				path := filepath.Join(*csvDir, c.name)
+				path := filepath.Join(*csvDir, c.Name)
 				f, err := os.Create(path)
 				if err != nil {
 					log.Fatal(err)
 				}
-				if err := c.write(f); err != nil {
+				if err := c.Write(f); err != nil {
 					log.Fatalf("writing %s: %v", path, err)
 				}
 				if err := f.Close(); err != nil {
@@ -233,4 +119,34 @@ func main() {
 		}
 		log.Printf("trace written to %s (load in chrome://tracing or Perfetto)", *traceOut)
 	}
+}
+
+// selectExperiments returns the catalogue entries named in the
+// comma-separated list, in report order, or the whole catalogue for an
+// empty list. An unknown name is an error that lists the valid ones.
+func selectExperiments(list string) ([]experiments.Experiment, error) {
+	all := experiments.Catalogue()
+	if list == "" {
+		return all, nil
+	}
+	var valid []string
+	for _, e := range all {
+		valid = append(valid, e.Name)
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("-fig: unknown experiment %q (valid: %s)",
+				name, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	var selected []experiments.Experiment
+	for _, e := range all {
+		if want[e.Name] {
+			selected = append(selected, e)
+		}
+	}
+	return selected, nil
 }

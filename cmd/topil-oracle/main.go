@@ -154,12 +154,8 @@ func inspect(args []string) {
 
 // oracleConfig returns the trace/sweep configuration.
 func oracleConfig(quick bool) oracle.Config {
-	cfg := oracle.DefaultConfig()
 	if quick {
-		cfg.LevelGrid = []int{0, 4, 8}
-		cfg.WarmupSec = 10
-		cfg.MeasureSec = 3
-		cfg.Dt = 0.02
+		return oracle.QuickConfig()
 	}
-	return cfg
+	return oracle.DefaultConfig()
 }

@@ -3,7 +3,8 @@
 // soft labels, optionally runs the NAS grid search, trains the IL migration
 // model(s), and pretrains the TOP-RL baseline's Q-table(s).
 //
-// Outputs (in -out, default ./artifacts):
+// Outputs (in -out, default ./artifacts; the pipeline writes the first
+// three, and topil-train exits 1 if one is missing):
 //
 //	dataset.json.gz   oracle demonstrations
 //	model-<seed>.json trained IL models
@@ -14,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +44,9 @@ func main() {
 		scale.OracleScenarios = *scenarios
 	}
 	p := experiments.NewPipeline(scale)
-	p.ArtifactsDir = *outDir // reuse partial artifacts across invocations
+	// The pipeline saves every artifact it builds into -out and reuses
+	// partial artifacts across invocations.
+	p.ArtifactsDir = *outDir
 	p.Progress = func(msg string) { log.Print(msg) }
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -55,11 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dsPath := filepath.Join(*outDir, "dataset.json.gz")
-	if err := d.Save(dsPath); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("saved %d oracle examples to %s", d.Len(), dsPath)
+	log.Printf("%d oracle examples in %s", d.Len(), artifact(*outDir, "dataset.json.gz"))
 
 	if *runNAS {
 		res, err := p.Fig3GridSearch()
@@ -78,16 +76,8 @@ func main() {
 		log.Fatal(err)
 	}
 	for i, m := range models {
-		data, err := json.Marshal(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		path := filepath.Join(*outDir, fmt.Sprintf("model-%d.json", scale.Seeds[i]))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("saved IL model (seed %d, %d params) to %s",
-			scale.Seeds[i], m.NumParams(), path)
+		path := artifact(*outDir, fmt.Sprintf("model-%d.json", scale.Seeds[i]))
+		log.Printf("IL model (seed %d, %d params) in %s", scale.Seeds[i], m.NumParams(), path)
 	}
 
 	tables, err := p.QTables()
@@ -95,12 +85,22 @@ func main() {
 		log.Fatal(err)
 	}
 	for i, tbl := range tables {
-		path := filepath.Join(*outDir, fmt.Sprintf("qtable-%d.json.gz", scale.Seeds[i]))
-		if err := tbl.Save(path); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("saved RL Q-table (seed %d, %d entries) to %s",
-			scale.Seeds[i], tbl.Entries(), path)
+		path := artifact(*outDir, fmt.Sprintf("qtable-%d.json.gz", scale.Seeds[i]))
+		log.Printf("RL Q-table (seed %d, %d entries) in %s", scale.Seeds[i], tbl.Entries(), path)
 	}
 	log.Print("done")
+}
+
+// artifact returns the path of the named artifact in dir and exits unless
+// it is a regular file there: the pipeline only logs a failed save.
+func artifact(dir, name string) string {
+	path := filepath.Join(dir, name)
+	fi, err := os.Stat(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !fi.Mode().IsRegular() {
+		log.Fatalf("%s: not a regular file", path)
+	}
+	return path
 }

@@ -155,6 +155,8 @@ func TestCommandsFailCleanly(t *testing.T) {
 		{"topil-cluster", []string{"-join", " ,http://x"}},
 		{"topil-loadgen", []string{"-mode", "looped"}},
 		{"topil-loadgen", []string{"-dim", "0"}},
+		{"topil-experiments", []string{"-quick", "-fig", "fig9,fig8"}},
+		{"topil-experiments", []string{"-quick", "-fig", "fig1,nosuchfig"}},
 	}
 	for _, c := range cases {
 		bin, ok := bins[c.bin]
@@ -169,6 +171,31 @@ func TestCommandsFailCleanly(t *testing.T) {
 		// Progress logs share stderr; the error is the last line.
 		lines := strings.Split(strings.TrimRight(stderr, "\n"), "\n")
 		oneLine(t, c.bin, lines[len(lines)-1])
+	}
+}
+
+// TestTrainFailsOnUnwritableArtifact blocks the dataset artifact with a
+// directory: the pipeline only logs the failed save, so topil-train's own
+// artifact check must exit non-zero and name the path.
+func TestTrainFailsOnUnwritableArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildCommands(t)
+	dir := t.TempDir()
+	blocked := filepath.Join(dir, "dataset.json.gz")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runBin(t, bins["topil-train"], "-quick", "-scenarios", "1", "-out", dir)
+	if code == 0 {
+		t.Fatalf("topil-train exited 0 with %s blocked\n%s", blocked, stderr)
+	}
+	lines := strings.Split(strings.TrimRight(stderr, "\n"), "\n")
+	last := lines[len(lines)-1]
+	oneLine(t, "topil-train", last)
+	if !strings.Contains(last, blocked) {
+		t.Errorf("error %q does not name %s", last, blocked)
 	}
 }
 

@@ -160,11 +160,10 @@ type ReplicaSetConfig struct {
 	// Serve is the per-replica serving template. Telemetry is cleared per
 	// replica (each gets a private registry) so gauges do not collide.
 	Serve serve.Config
-	// StoreRoot, when non-empty, gives replica i the durable store
-	// directory <StoreRoot>/<name>. Empty means ephemeral replicas.
+	// StoreRoot, when non-empty, gives replica i, named "replica-<i>", the
+	// durable store directory <StoreRoot>/replica-<i>. Empty means
+	// ephemeral replicas.
 	StoreRoot string
-	// NamePrefix defaults to "replica"; replica i is "<prefix>-<i>".
-	NamePrefix string
 }
 
 // ReplicaSet manages N in-process replicas with stable names, store
@@ -186,9 +185,6 @@ func StartReplicaSet(cfg ReplicaSetConfig) (*ReplicaSet, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("cluster: replica set needs n > 0")
 	}
-	if cfg.NamePrefix == "" {
-		cfg.NamePrefix = "replica"
-	}
 	s := &ReplicaSet{
 		cfg:   cfg,
 		names: make([]string, cfg.N),
@@ -197,7 +193,7 @@ func StartReplicaSet(cfg ReplicaSetConfig) (*ReplicaSet, error) {
 		reps:  make([]*LocalReplica, cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
-		s.names[i] = fmt.Sprintf("%s-%d", cfg.NamePrefix, i)
+		s.names[i] = fmt.Sprintf("replica-%d", i)
 		if cfg.StoreRoot != "" {
 			s.dirs[i] = filepath.Join(cfg.StoreRoot, s.names[i])
 		}

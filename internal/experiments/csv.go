@@ -12,162 +12,110 @@ import (
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
+// writeCSV writes the header and then the rows.
+func writeCSV(w io.Writer, header []string, rows [][]string) error {
+	return csv.NewWriter(w).WriteAll(append([][]string{header}, rows...))
+}
+
 // WriteCSV emits one row per (app, scenario, mapping).
 func (r *Fig1Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "scenario", "mapping",
-		"f_little_hz", "f_big_hz", "avg_temp"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{row.App, strconv.Itoa(row.Scenario),
-			row.Mapping, fmtF(row.FLittle), fmtF(row.FBig),
-			fmtF(row.AvgTemp)}); err != nil {
-			return err
-		}
+		rows = append(rows, []string{row.App, strconv.Itoa(row.Scenario),
+			row.Mapping, fmtF(row.FLittle), fmtF(row.FBig), fmtF(row.AvgTemp)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "scenario", "mapping",
+		"f_little_hz", "f_big_hz", "avg_temp"}, rows)
 }
 
 // WriteCSV emits one row per application plus a summary row.
 func (r *Fig5Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "overhead"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{row.App, fmtF(row.Overhead)}); err != nil {
-			return err
-		}
+		rows = append(rows, []string{row.App, fmtF(row.Overhead)})
 	}
-	if err := cw.Write([]string{"__average__", fmtF(r.Average)}); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
+	rows = append(rows, []string{"__average__", fmtF(r.Average)})
+	return writeCSV(w, []string{"app", "overhead"}, rows)
 }
 
 // WriteCSV emits one row per (technique, arrival rate).
 func (r *Fig8Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"technique", "arrival_rate", "fan",
-		"avg_temp_mean", "avg_temp_std", "peak_temp_mean", "violations_mean",
-		"violations_std", "avg_util", "throttle_s"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, c := range r.Cells {
-		if err := cw.Write([]string{c.Technique, fmtF(c.ArrivalRate),
+		rows = append(rows, []string{c.Technique, fmtF(c.ArrivalRate),
 			strconv.FormatBool(r.Fan), fmtF(c.AvgTemp.Mean), fmtF(c.AvgTemp.Std),
 			fmtF(c.PeakTemp.Mean), fmtF(c.Violations.Mean), fmtF(c.Violations.Std),
-			fmtF(c.AvgUtil.Mean), fmtF(c.ThrottleSec.Mean)}); err != nil {
-			return err
-		}
+			fmtF(c.AvgUtil.Mean), fmtF(c.ThrottleSec.Mean)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"technique", "arrival_rate", "fan",
+		"avg_temp_mean", "avg_temp_std", "peak_temp_mean", "violations_mean",
+		"violations_std", "avg_util", "throttle_s"}, rows)
 }
 
 // WriteFig10CSV emits one row per (technique, cluster, VF level).
 func (r *Fig8Result) WriteFig10CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"technique", "cluster", "level", "cpu_seconds"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, tech := range Techniques() {
-		ct, ok := r.CPUTime[tech]
-		if !ok {
-			continue
-		}
-		for ci, levels := range ct {
+		for ci, levels := range r.CPUTime[tech] {
 			for li, v := range levels {
-				if err := cw.Write([]string{tech, strconv.Itoa(ci),
-					strconv.Itoa(li), fmtF(v)}); err != nil {
-					return err
-				}
+				rows = append(rows, []string{tech, strconv.Itoa(ci), strconv.Itoa(li), fmtF(v)})
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"technique", "cluster", "level", "cpu_seconds"}, rows)
 }
 
 // WriteCSV emits one row per (application, technique).
 func (r *Fig11Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "technique", "avg_temp_mean",
-		"avg_temp_std", "violating_runs", "runs"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{row.App, row.Technique,
+		rows = append(rows, []string{row.App, row.Technique,
 			fmtF(row.AvgTemp.Mean), fmtF(row.AvgTemp.Std),
-			strconv.Itoa(row.Violations), strconv.Itoa(row.Runs)}); err != nil {
-			return err
-		}
+			strconv.Itoa(row.Violations), strconv.Itoa(row.Runs)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "technique", "avg_temp_mean",
+		"avg_temp_std", "violating_runs", "runs"}, rows)
 }
 
 // WriteCSV emits one row per application count.
 func (r *Fig12Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"apps", "dvfs_ms_per_s", "migration_ms_per_s",
-		"dvfs_ms_per_call", "migration_ms_per_call_npu",
-		"migration_ms_per_call_cpu"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{strconv.Itoa(row.Apps),
+		rows = append(rows, []string{strconv.Itoa(row.Apps),
 			fmtF(row.DVFSMsPerSec), fmtF(row.MigrationMsPerSec),
 			fmtF(row.DVFSMsPerCall), fmtF(row.MigrationMsPerCall),
-			fmtF(row.CPUMigrationMsPerCall)}); err != nil {
-			return err
-		}
+			fmtF(row.CPUMigrationMsPerCall)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"apps", "dvfs_ms_per_s", "migration_ms_per_s",
+		"dvfs_ms_per_call", "migration_ms_per_call_npu",
+		"migration_ms_per_call_cpu"}, rows)
 }
 
 // WriteCSV emits one row per (technique, epoch sample) of the mapping
 // traces (1 = big cluster, 0 = LITTLE).
 func (r *Fig7Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "technique", "epoch", "on_big"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, tr := range r.Traces {
 		for i, onBig := range tr.OnBig {
 			v := "0"
 			if onBig {
 				v = "1"
 			}
-			if err := cw.Write([]string{tr.App, tr.Technique,
-				strconv.Itoa(i), v}); err != nil {
-				return err
-			}
+			rows = append(rows, []string{tr.App, tr.Technique, strconv.Itoa(i), v})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"app", "technique", "epoch", "on_big"}, rows)
 }
 
 // WriteCSV emits one row per technique.
 func (r *EnergyResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"technique", "rate", "total_j", "little_j",
-		"big_j", "avg_temp", "violations", "makespan_s"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{row.Technique, fmtF(r.Rate),
+		rows = append(rows, []string{row.Technique, fmtF(r.Rate),
 			fmtF(row.TotalJ.Mean), fmtF(row.LittleJ.Mean), fmtF(row.BigJ.Mean),
 			fmtF(row.AvgTemp.Mean), fmtF(row.Violations.Mean),
-			fmtF(row.Makespan.Mean)}); err != nil {
-			return err
-		}
+			fmtF(row.Makespan.Mean)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"technique", "rate", "total_j", "little_j",
+		"big_j", "avg_temp", "violations", "makespan_s"}, rows)
 }

@@ -1,19 +1,21 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// One pipeline shared by all tests in this package: the oracle dataset and
-// model training dominate the cost.
+// One quick-scale pipeline shared by all tests in this package, behind a
+// memo of every figure: the golden report and the per-figure tests read
+// the same results, so no figure runs twice in one test process.
 var (
 	pipeOnce sync.Once
-	pipe     *Pipeline
+	pipe     *memoFigures
 )
 
-func pipeline(t *testing.T) *Pipeline {
+func pipeline(t *testing.T) *memoFigures {
 	t.Helper()
 	if testing.Short() {
 		// The oracle search plus model training behind this helper takes
@@ -23,9 +25,80 @@ func pipeline(t *testing.T) *Pipeline {
 		t.Skip("skipping full-pipeline experiment in -short mode")
 	}
 	pipeOnce.Do(func() {
-		pipe = NewPipeline(QuickScale())
+		pipe = &memoFigures{Pipeline: NewPipeline(QuickScale()), results: map[string]*memoResult{}}
 	})
 	return pipe
+}
+
+// memoFigures runs each figure of its pipeline at most once.
+type memoFigures struct {
+	*Pipeline
+	mu      sync.Mutex
+	results map[string]*memoResult
+}
+
+type memoResult struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+func memo[R any](m *memoFigures, key string, run func() (R, error)) (R, error) {
+	m.mu.Lock()
+	r, ok := m.results[key]
+	if !ok {
+		r = &memoResult{}
+		m.results[key] = r
+	}
+	m.mu.Unlock()
+	r.once.Do(func() { r.val, r.err = run() })
+	return r.val.(R), r.err
+}
+
+func (m *memoFigures) Fig1Motivational() (*Fig1Result, error) {
+	return memo(m, "fig1", m.Pipeline.Fig1Motivational)
+}
+
+func (m *memoFigures) Fig3GridSearch() (*Fig3Result, error) {
+	return memo(m, "fig3", m.Pipeline.Fig3GridSearch)
+}
+
+func (m *memoFigures) Fig5MigrationOverhead() (*Fig5Result, error) {
+	return memo(m, "fig5", m.Pipeline.Fig5MigrationOverhead)
+}
+
+func (m *memoFigures) Fig7Illustrative() (*Fig7Result, error) {
+	return memo(m, "fig7", m.Pipeline.Fig7Illustrative)
+}
+
+func (m *memoFigures) Fig8Main(fan bool) (*Fig8Result, error) {
+	return memo(m, fmt.Sprintf("fig8 fan=%v", fan), func() (*Fig8Result, error) {
+		return m.Pipeline.Fig8Main(fan)
+	})
+}
+
+func (m *memoFigures) Fig11SingleApp() (*Fig11Result, error) {
+	return memo(m, "fig11", m.Pipeline.Fig11SingleApp)
+}
+
+func (m *memoFigures) Fig12Overhead() (*Fig12Result, error) {
+	return memo(m, "fig12", m.Pipeline.Fig12Overhead)
+}
+
+func (m *memoFigures) ModelEvaluation() (*ModelEvalResult, error) {
+	return memo(m, "modeleval", m.Pipeline.ModelEvaluation)
+}
+
+func (m *memoFigures) EnergyAnalysis() (*EnergyResult, error) {
+	return memo(m, "energy", m.Pipeline.EnergyAnalysis)
+}
+
+func (m *memoFigures) DatasetAblations() ([]*AblationResult, error) {
+	return memo(m, "dataset ablations", m.Pipeline.DatasetAblations)
+}
+
+func (m *memoFigures) AblationDVFSStep() (*AblationResult, error) {
+	return memo(m, "dvfs ablation", m.Pipeline.AblationDVFSStep)
 }
 
 func TestFig1Motivational(t *testing.T) {

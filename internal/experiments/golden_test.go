@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -69,5 +73,54 @@ func TestFig5GoldenAcrossWorkerCounts(t *testing.T) {
 	}
 	if !bytes.Equal(seqCSV, parCSV) {
 		t.Errorf("CSV differs between -j1 and -j8")
+	}
+}
+
+// sectionTiming matches the wall-time suffix of a report's section lines,
+// "==== name (12.3s) ====".
+var sectionTiming = regexp.MustCompile(`(?m)^(==== \S+) \([0-9.]+s\) ====$`)
+
+// TestQuickReportGolden renders the whole quick-scale report, as
+// topil-experiments -quick does, from the shared pipeline's figures and
+// compares it with reports/quick_report.txt, section timings stripped.
+func TestQuickReportGolden(t *testing.T) {
+	p := pipeline(t)
+	var b strings.Builder
+	fmt.Fprintf(&b, "TOP-IL experiment reproduction (%s scale)\n\n", p.Scale.Name)
+	for _, e := range Catalogue() {
+		out, csvs, err := e.run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		fmt.Fprintf(&b, "==== %s ====\n%s\n", e.Name, out)
+		for _, c := range csvs {
+			var buf bytes.Buffer
+			if err := c.Write(&buf); err != nil || buf.Len() == 0 {
+				t.Errorf("%s: %s: %d bytes, err %v", e.Name, c.Name, buf.Len(), err)
+			}
+		}
+	}
+
+	const path = "../../reports/quick_report.txt"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(b.String(), "\n")
+	want := strings.Split(sectionTiming.ReplaceAllString(string(data), "$1 ===="), "\n")
+	for i := 0; i < max(len(got), len(want)); i++ {
+		g, w := "<end of report>", "<end of report>"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("quick report differs from %s at line %d:\n got: %q\nwant: %q\n"+
+				"if the change is intended, regenerate with (from the repository root):\n"+
+				"  go run ./cmd/topil-experiments -quick -out reports/quick_report.txt",
+				path, i+1, g, w)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package experiments reproduces every figure of the paper's evaluation on
 // the simulated platform. Each FigNN function runs one experiment at a
 // configurable scale and returns a structured result with a Render method
-// printing the same rows/series the paper reports. The cmd/topil-experiments
-// tool and the repository's bench harness are thin wrappers around this
-// package.
+// printing the same rows/series the paper reports, and Catalogue lists the
+// whole figure suite in report order. The cmd/topil-experiments tool and
+// the repository's bench harness are thin wrappers around this package.
 package experiments
 
 import (
@@ -68,11 +68,7 @@ func FullScale() Scale {
 
 // QuickScale shrinks everything for smoke tests and benches.
 func QuickScale() Scale {
-	ocfg := oracle.DefaultConfig()
-	ocfg.LevelGrid = []int{0, 4, 8}
-	ocfg.WarmupSec = 10
-	ocfg.MeasureSec = 3
-	ocfg.Dt = 0.02
+	ocfg := oracle.QuickConfig()
 	ocfg.QoSFracs = []float64{0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45,
 		0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9}
 	pre := rl.DefaultPretrainConfig(1)

@@ -39,19 +39,12 @@ type OracleLabeler struct {
 // DefaultLabelCacheScenarios bounds the trace-set cache.
 const DefaultLabelCacheScenarios = 32
 
-// QuickLabelConfig returns an oracle Config scaled for online labeling:
-// the coarse 3-level grid and short warmup/measure windows keep one
-// uncached scenario query in the low seconds, at some label fidelity cost
-// versus the offline DefaultConfig (override via ManagerConfig.Labeler for
-// full-scale labeling).
-func QuickLabelConfig() oracle.Config {
-	cfg := oracle.DefaultConfig()
-	cfg.LevelGrid = []int{0, 4, 8}
-	cfg.WarmupSec = 10
-	cfg.MeasureSec = 3
-	cfg.Dt = 0.02
-	return cfg
-}
+// QuickLabelConfig returns the oracle Config for online labeling,
+// oracle.QuickConfig: its coarse grid and short windows keep one uncached
+// scenario query in the low seconds, at some label fidelity cost versus the
+// offline DefaultConfig (override via ManagerConfig.Labeler for full-scale
+// labeling).
+func QuickLabelConfig() oracle.Config { return oracle.QuickConfig() }
 
 // NewOracleLabeler creates a labeler over the given oracle configuration.
 func NewOracleLabeler(cfg oracle.Config) *OracleLabeler {

@@ -124,6 +124,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// QuickConfig is DefaultConfig on a coarse 3-level grid with short
+// warmup and measurement windows: the smoke-scale experiments, online
+// labeling and topil-oracle -quick use it.
+func QuickConfig() Config {
+	cfg := DefaultConfig()
+	cfg.LevelGrid = []int{0, 4, 8}
+	cfg.WarmupSec = 10
+	cfg.MeasureSec = 3
+	cfg.Dt = 0.02
+	return cfg
+}
+
 // TracePoint is the measurement of one (AoI core, f_l, f_b) execution.
 type TracePoint struct {
 	AoIIPS   float64 // mean IPS of the AoI over the measurement window

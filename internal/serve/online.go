@@ -34,8 +34,6 @@ type OnlineConfig struct {
 	MinAgreement float64
 	// MinNewSamples gates retraining on fresh labeled examples per cycle.
 	MinNewSamples int
-	// SampleCap bounds the durable sample reservoir.
-	SampleCap int
 	// Seed drives the learner's seeded randomness.
 	Seed int64
 	// Labeler overrides the expert (default: the oracle on
@@ -88,7 +86,7 @@ func (s *Server) startOnline() error {
 	if oc.Dir == "" {
 		return fmt.Errorf("serve: online learning requires a sample-log directory")
 	}
-	sampleLog, err := online.OpenSampleLog(oc.Dir, oc.SampleCap, oc.Seed)
+	sampleLog, err := online.OpenSampleLog(oc.Dir, online.DefaultSampleCap, oc.Seed)
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,10 @@ import (
 // maxBodyBytes bounds request bodies (a 1024-job manifest fits easily).
 const maxBodyBytes = 8 << 20
 
+// traceSpans bounds the wall-time request trace ring served by
+// GET /v1/trace; the oldest spans are dropped beyond it.
+const traceSpans = 4096
+
 // Config assembles a Server.
 type Config struct {
 	// ModelsDir is the artifacts directory holding <name>.json models.
@@ -42,9 +46,6 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — opt-in,
 	// since profiling endpoints do not belong on an open port by default.
 	EnablePprof bool
-	// TraceSpans bounds the wall-time request trace ring served by
-	// GET /v1/trace (default 4096; oldest spans are dropped beyond it).
-	TraceSpans int
 	// Online configures DAgger-style continual imitation learning with
 	// shadow-evaluated hot swaps (see internal/online and docs/ONLINE.md).
 	Online OnlineConfig
@@ -86,12 +87,9 @@ func NewServer(cfg Config) *Server {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	if cfg.TraceSpans <= 0 {
-		cfg.TraceSpans = 4096
-	}
 	clock := telemetry.NewWallClock()
 	tracer := telemetry.NewTracer(clock)
-	tracer.SetMaxSpans(cfg.TraceSpans)
+	tracer.SetMaxSpans(traceSpans)
 	reg := NewRegistry(cfg.ModelsDir)
 	s := &Server{
 		cfg:      cfg,
