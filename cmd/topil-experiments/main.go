@@ -3,9 +3,10 @@
 // for a fast smoke run, -fig to select individual experiments, -out to
 // write the text report, -csvdir to additionally export each experiment's
 // data as CSV, -artifacts to cache the expensive design-time artifacts
-// across invocations, -j to run each experiment's (technique × seed ×
-// scenario) cells on a parallel worker pool — reports and CSV files are
-// byte-identical at any -j value — and -trace to write a Chrome-loadable
+// across invocations (a failed save is an error that names the path), -j
+// to run each experiment's (technique × seed × scenario) cells on a
+// parallel worker pool — reports and CSV files are byte-identical at any
+// -j value — and -trace to write a Chrome-loadable
 // (chrome://tracing, Perfetto) span file of every simulation run in
 // sim-time, likewise byte-identical at any -j value.
 //
@@ -77,6 +78,9 @@ func main() {
 		out, csvs, err := exp.Run(p)
 		if err != nil {
 			log.Fatalf("%s: %v", exp.Name, err)
+		}
+		if err := p.ArtifactErr(); err != nil {
+			log.Fatal(err)
 		}
 		section := fmt.Sprintf("==== %s (%.1fs) ====\n%s\n", exp.Name,
 			time.Since(start).Seconds(), out)

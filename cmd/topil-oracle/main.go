@@ -88,7 +88,7 @@ func collect(args []string) {
 			log.Fatal(err)
 		}
 		log.Printf("[%d/%d] %s: %d points -> %s",
-			i+1, len(scns), scn.AoI.Name, len(ts.Points), path)
+			i+1, len(scns), scn.AoI.Name, len(ts.FreeCores)*len(ts.Grid)*len(ts.Grid), path)
 	}
 }
 

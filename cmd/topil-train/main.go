@@ -4,7 +4,7 @@
 // model(s), and pretrains the TOP-RL baseline's Q-table(s).
 //
 // Outputs (in -out, default ./artifacts; the pipeline writes the first
-// three, and topil-train exits 1 if one is missing):
+// three, and topil-train exits 1 naming the path if one fails to save):
 //
 //	dataset.json.gz   oracle demonstrations
 //	model-<seed>.json trained IL models
@@ -57,7 +57,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("%d oracle examples in %s", d.Len(), artifact(*outDir, "dataset.json.gz"))
+	saved(p)
+	log.Printf("%d oracle examples in %s", d.Len(), filepath.Join(*outDir, "dataset.json.gz"))
 
 	if *runNAS {
 		res, err := p.Fig3GridSearch()
@@ -75,8 +76,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	saved(p)
 	for i, m := range models {
-		path := artifact(*outDir, fmt.Sprintf("model-%d.json", scale.Seeds[i]))
+		path := filepath.Join(*outDir, fmt.Sprintf("model-%d.json", scale.Seeds[i]))
 		log.Printf("IL model (seed %d, %d params) in %s", scale.Seeds[i], m.NumParams(), path)
 	}
 
@@ -84,23 +86,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	saved(p)
 	for i, tbl := range tables {
-		path := artifact(*outDir, fmt.Sprintf("qtable-%d.json.gz", scale.Seeds[i]))
+		path := filepath.Join(*outDir, fmt.Sprintf("qtable-%d.json.gz", scale.Seeds[i]))
 		log.Printf("RL Q-table (seed %d, %d entries) in %s", scale.Seeds[i], tbl.Entries(), path)
 	}
 	log.Print("done")
 }
 
-// artifact returns the path of the named artifact in dir and exits unless
-// it is a regular file there: the pipeline only logs a failed save.
-func artifact(dir, name string) string {
-	path := filepath.Join(dir, name)
-	fi, err := os.Stat(path)
-	if err != nil {
+// saved exits naming the path if the pipeline failed to save an artifact.
+func saved(p *experiments.Pipeline) {
+	if err := p.ArtifactErr(); err != nil {
 		log.Fatal(err)
 	}
-	if !fi.Mode().IsRegular() {
-		log.Fatalf("%s: not a regular file", path)
-	}
-	return path
 }

@@ -175,27 +175,56 @@ func TestCommandsFailCleanly(t *testing.T) {
 }
 
 // TestTrainFailsOnUnwritableArtifact blocks the dataset artifact with a
-// directory: the pipeline only logs the failed save, so topil-train's own
-// artifact check must exit non-zero and name the path.
+// directory: the pipeline keeps the failed save, and topil-train must exit
+// non-zero and name the path.
 func TestTrainFailsOnUnwritableArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bins := buildCommands(t)
-	dir := t.TempDir()
-	blocked := filepath.Join(dir, "dataset.json.gz")
+	dir, blocked := blockedArtifacts(t)
+	code, stderr := runBin(t, bins["topil-train"], "-quick", "-scenarios", "1", "-out", dir)
+	failsNaming(t, "topil-train", code, stderr, blocked)
+}
+
+// TestExperimentsFailsOnUnwritableArtifact is the same block under
+// topil-experiments -artifacts, which prints pipeline progress only with
+// -v: the failed save must still exit non-zero and name the path.
+func TestExperimentsFailsOnUnwritableArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildCommands(t)
+	dir, blocked := blockedArtifacts(t)
+	code, stderr := runBin(t, bins["topil-experiments"], "-quick", "-fig", "fig3",
+		"-artifacts", dir, "-out", filepath.Join(t.TempDir(), "report.txt"))
+	failsNaming(t, "topil-experiments", code, stderr, blocked)
+}
+
+// blockedArtifacts returns an artifacts directory whose dataset.json.gz is
+// a directory, so saving the dataset fails, and that path.
+func blockedArtifacts(t *testing.T) (dir, blocked string) {
+	t.Helper()
+	dir = t.TempDir()
+	blocked = filepath.Join(dir, "dataset.json.gz")
 	if err := os.Mkdir(blocked, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	code, stderr := runBin(t, bins["topil-train"], "-quick", "-scenarios", "1", "-out", dir)
+	return dir, blocked
+}
+
+// failsNaming checks that a command exited non-zero with a one-line last
+// stderr line that names path.
+func failsNaming(t *testing.T, name string, code int, stderr, path string) {
+	t.Helper()
 	if code == 0 {
-		t.Fatalf("topil-train exited 0 with %s blocked\n%s", blocked, stderr)
+		t.Fatalf("%s exited 0 with %s blocked\n%s", name, path, stderr)
 	}
 	lines := strings.Split(strings.TrimRight(stderr, "\n"), "\n")
 	last := lines[len(lines)-1]
-	oneLine(t, "topil-train", last)
-	if !strings.Contains(last, blocked) {
-		t.Errorf("error %q does not name %s", last, blocked)
+	oneLine(t, name, last)
+	if !strings.Contains(last, path) {
+		t.Errorf("error %q does not name %s", last, path)
 	}
 }
 

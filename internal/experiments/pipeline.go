@@ -131,6 +131,9 @@ type Pipeline struct {
 	Progress func(msg string)
 
 	progressMu sync.Mutex
+
+	saveMu  sync.Mutex
+	saveErr error // first failed artifact save
 }
 
 // NewPipeline creates a pipeline at the given scale.
@@ -204,22 +207,38 @@ func (p *Pipeline) artifact(name string) (string, bool) {
 	return path, err == nil
 }
 
-// saveArtifact persists a named artifact if ArtifactsDir is configured;
-// persistence failures are reported but never abort an experiment.
+// saveArtifact persists a named artifact if ArtifactsDir is configured. A
+// failed save never aborts an experiment; the first one is kept for
+// ArtifactErr.
 func (p *Pipeline) saveArtifact(name string, save func(path string) error) {
 	if p.ArtifactsDir == "" {
 		return
 	}
-	if err := os.MkdirAll(p.ArtifactsDir, 0o755); err != nil {
-		p.progress("artifacts: %v", err)
-		return
-	}
 	path := filepath.Join(p.ArtifactsDir, name)
-	if err := save(path); err != nil {
-		p.progress("artifacts: saving %s: %v", path, err)
+	err := os.MkdirAll(p.ArtifactsDir, 0o755)
+	if err == nil {
+		err = save(path)
+	}
+	if err != nil {
+		err = fmt.Errorf("artifacts: saving %s: %w", path, err)
+		p.progress("%v", err)
+		p.saveMu.Lock()
+		defer p.saveMu.Unlock()
+		if p.saveErr == nil {
+			p.saveErr = err
+		}
 		return
 	}
 	p.progress("artifacts: saved %s", path)
+}
+
+// ArtifactErr returns the pipeline's first failed artifact save, naming
+// the path, or nil. A command that caches artifacts fails on it, since a
+// run that could not write its cache has not done what it was asked.
+func (p *Pipeline) ArtifactErr() error {
+	p.saveMu.Lock()
+	defer p.saveMu.Unlock()
+	return p.saveErr
 }
 
 // Models returns one trained IL model per seed, training on first use. It

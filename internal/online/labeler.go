@@ -19,14 +19,15 @@ type Labeler interface {
 }
 
 // OracleLabeler queries internal/oracle on visited states: it rebuilds the
-// (AoI, background) scenario from the sample, collects (and caches) the
-// scenario's trace set, quantizes the visited QoS target and per-cluster
-// VF requirements onto the oracle grid, and computes the Eq. (4) labels —
-// the same implementation the offline dataset sweep uses.
+// (AoI, background) scenario from the sample, looks up (or creates) the
+// scenario's on-demand trace set, quantizes the visited QoS target and
+// per-cluster VF requirements onto the oracle grid, and computes the
+// Eq. (4) labels — the same implementation the offline dataset sweep uses.
 //
-// Trace collection is the expensive part (a warmup + measurement sim per
-// grid point), so serving deployments run it on a quick-scale Config; the
-// cache makes repeat visits to a scenario cheap.
+// A query simulates only the trace points Eq. (3) reads for it: at most
+// one grid column per free core, each a warmup plus a measurement sim.
+// The cache keeps every point simulated so far, so repeat visits to a
+// scenario read what earlier queries already paid for.
 type OracleLabeler struct {
 	cfg oracle.Config
 
@@ -40,10 +41,10 @@ type OracleLabeler struct {
 const DefaultLabelCacheScenarios = 32
 
 // QuickLabelConfig returns the oracle Config for online labeling,
-// oracle.QuickConfig: its coarse grid and short windows keep one uncached
-// scenario query in the low seconds, at some label fidelity cost versus the
-// offline DefaultConfig (override via ManagerConfig.Labeler for full-scale
-// labeling).
+// oracle.QuickConfig: its coarse grid and short windows keep the points one
+// query simulates to a few milliseconds, at some label fidelity cost versus
+// the offline DefaultConfig (override via ManagerConfig.Labeler for
+// full-scale labeling).
 func QuickLabelConfig() oracle.Config { return oracle.QuickConfig() }
 
 // NewOracleLabeler creates a labeler over the given oracle configuration.
@@ -132,25 +133,18 @@ func (l *OracleLabeler) scenarioFor(s Sample) (oracle.Scenario, string, bool) {
 	return scn, sig, true
 }
 
-// traces returns the scenario's trace set, collecting it on first use.
+// traces returns the scenario's trace set, creating an empty on-demand
+// set on first use. Concurrent queries share the set, which simulates each
+// point once.
 func (l *OracleLabeler) traces(sig string, scn oracle.Scenario) (*oracle.TraceSet, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if ts := l.cache[sig]; ts != nil {
-		l.mu.Unlock()
 		return ts, nil
 	}
-	l.mu.Unlock()
-
-	// Collect outside the lock; a duplicate concurrent collection is
-	// wasted work but harmless (both results are identical).
-	ts, err := oracle.CollectTraces(scn, l.cfg)
+	ts, err := oracle.NewTraceSet(scn, l.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("online: collecting traces for %s: %w", sig, err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev := l.cache[sig]; prev != nil {
-		return prev, nil
+		return nil, fmt.Errorf("online: trace set for %s: %w", sig, err)
 	}
 	if len(l.order) >= l.maxCache {
 		delete(l.cache, l.order[0])

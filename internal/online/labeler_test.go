@@ -2,6 +2,7 @@ package online
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/features"
@@ -71,6 +72,66 @@ func TestOracleLabelerLabelsVisitedState(t *testing.T) {
 	}
 	if len(l.cache) != 1 || len(l.order) != 1 {
 		t.Fatalf("cache holds %d trace sets, want 1", len(l.cache))
+	}
+}
+
+// TestOracleLabelerConcurrentQueries has 8 goroutines, released together,
+// query one scenario's shared on-demand trace set, each in its own order
+// over several QoS targets: every answer must equal a lone labeler's, and
+// the race detector must see no unsynchronized access to the set.
+func TestOracleLabelerConcurrentQueries(t *testing.T) {
+	var samples []Sample
+	for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		s := visitedSample()
+		s.Background = []BackgroundRef{{Name: "seidel-2d", Core: 1}, {Name: "syr2k", Core: 5}}
+		s.QoS *= frac / 0.2
+		samples = append(samples, s)
+	}
+	solo := NewOracleLabeler(tinyLabelConfig())
+	want := make([][]float64, len(samples))
+	for i, s := range samples {
+		labels, ok, err := solo.Label(s)
+		if err != nil || !ok {
+			t.Fatalf("sample %d: Label = (%v, %v)", i, ok, err)
+		}
+		want[i] = labels
+	}
+
+	l := NewOracleLabeler(tinyLabelConfig())
+	const goroutines = 8
+	got := make([][][]float64, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = make([][]float64, len(samples))
+			for k := range samples {
+				i := (g + k) % len(samples)
+				labels, _, err := l.Label(samples[i])
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g][i] = labels
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("goroutine %d: labels %v, want %v", g, got[g], want)
+		}
+	}
+	if len(l.cache) != 1 {
+		t.Fatalf("one scenario filled %d cache entries, want 1", len(l.cache))
 	}
 }
 

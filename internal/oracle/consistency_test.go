@@ -25,9 +25,9 @@ func TestTrainRuntimeFeatureConsistency(t *testing.T) {
 
 	// Configuration: AoI on core 3, both clusters at the top grid level.
 	li, bi := len(ts.Grid)-1, len(ts.Grid)-1
-	pt, ok := ts.Point(3, li, bi)
-	if !ok {
-		t.Fatal("missing trace point")
+	pt, err := ts.Point(3, li, bi)
+	if err != nil {
+		t.Fatal(err)
 	}
 	plat := platform.HiKey970()
 	level := ts.Grid[li]

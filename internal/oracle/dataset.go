@@ -191,25 +191,26 @@ func resolve(ts *TraceSet, plat *platform.Platform, core platform.CoreID,
 	}
 	for pos := ownTilde; pos < len(ts.Grid); pos++ {
 		li, bi := pick(pos)
-		p, ok := ts.Point(core, li, bi)
-		if !ok {
-			return resolved{}, fmt.Errorf("oracle: missing trace point core=%d li=%d bi=%d", core, li, bi)
+		p, err := ts.Point(core, li, bi)
+		if err != nil {
+			return resolved{}, err
 		}
 		if p.AoIIPS >= q {
 			return resolved{feasible: true, li: li, bi: bi, point: p}, nil
 		}
 	}
 	li, bi := pick(len(ts.Grid) - 1)
-	p, ok := ts.Point(core, li, bi)
-	if !ok {
-		return resolved{}, fmt.Errorf("oracle: missing trace point core=%d li=%d bi=%d", core, li, bi)
+	p, err := ts.Point(core, li, bi)
+	if err != nil {
+		return resolved{}, err
 	}
 	return resolved{feasible: false, li: li, bi: bi, point: p}, nil
 }
 
 // ExtractExamples sweeps QoS targets and background VF requirements over
 // the trace set and emits one training example per free core per selection,
-// with exact-duplicate examples removed.
+// with exact-duplicate examples removed. It first simulates every point of
+// an on-demand set not read yet, so the sweep never sees a partial set.
 func ExtractExamples(ts *TraceSet, cfg Config) ([]Example, error) {
 	plat := platform.HiKey970()
 	little, _ := plat.ClusterByKind(platform.Little)
@@ -217,7 +218,11 @@ func ExtractExamples(ts *TraceSet, cfg Config) ([]Example, error) {
 	if len(cfg.QoSFracs) == 0 {
 		return nil, fmt.Errorf("oracle: no QoS fractions configured")
 	}
-	maxIPS := ts.MaxAoIIPS()
+	points, err := ts.fill()
+	if err != nil {
+		return nil, err
+	}
+	maxIPS := maxAoIIPS(points)
 	if maxIPS <= 0 {
 		return nil, fmt.Errorf("oracle: traces contain no AoI progress")
 	}
@@ -233,7 +238,7 @@ func ExtractExamples(ts *TraceSet, cfg Config) ([]Example, error) {
 	}
 	for _, kind := range []platform.ClusterKind{platform.Little, platform.Big} {
 		clusterMax := 0.0
-		for key, pt := range ts.Points {
+		for key, pt := range points {
 			if plat.KindOf(key.core) == kind && pt.AoIIPS > clusterMax {
 				clusterMax = pt.AoIIPS
 			}

@@ -83,13 +83,17 @@ func TestCollectTracesCoverage(t *testing.T) {
 	if len(ts.FreeCores) != 2 {
 		t.Fatalf("free cores = %v", ts.FreeCores)
 	}
+	// CollectTraces must leave every point simulated, not just readable.
+	if want := 2 * len(ts.Grid) * len(ts.Grid); len(ts.points) != want {
+		t.Fatalf("collected %d points, want %d", len(ts.points), want)
+	}
 	n := 0
 	for li := range ts.Grid {
 		for bi := range ts.Grid {
 			for _, c := range ts.FreeCores {
-				p, ok := ts.Point(c, li, bi)
-				if !ok {
-					t.Fatalf("missing point core=%d li=%d bi=%d", c, li, bi)
+				p, err := ts.Point(c, li, bi)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if p.AoIIPS <= 0 || p.PeakTemp <= 20 || p.AoIL2DPS <= 0 {
 					t.Errorf("degenerate point %+v", p)

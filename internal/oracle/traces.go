@@ -7,12 +7,16 @@
 // The paper's key trick is reproduced: traces are collected per VF-level
 // combination (not per QoS target), and many QoS-target / background-
 // requirement selections are swept afterwards over the same traces, which
-// avoids redundant executions.
+// avoids redundant executions. A DAgger query, which reads only a few
+// points, uses an on-demand set (NewTraceSet) that simulates each point
+// when it is first read.
 package oracle
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -150,27 +154,137 @@ type traceKey struct {
 	li, bi int // indices INTO LevelGrid
 }
 
-// TraceSet holds all trace points of one scenario.
+// TraceSet holds the trace points of one scenario. A set from NewTraceSet
+// simulates each point the first time it is read and keeps it, so a
+// DAgger query pays only for the grid column per free core that Eq. (3)
+// reads. A set from LoadTraces holds what its file held and never
+// simulates. The exported fields describe the set and must not be
+// modified; all methods are safe for concurrent use.
 type TraceSet struct {
 	Scenario  Scenario
 	Grid      []int // copy of Config.LevelGrid
 	NumCores  int
 	FreeCores []platform.CoreID
-	Points    map[traceKey]TracePoint
+
+	cfg    *Config // nil for a loaded set
+	mu     sync.Mutex
+	points map[traceKey]TracePoint
+	warm   map[[2]int][]float64 // °C per thermal node, by (li, bi)
+}
+
+// NewTraceSet validates the scenario and the level grid and returns a set
+// with no point simulated yet.
+func NewTraceSet(scn Scenario, cfg Config) (*TraceSet, error) {
+	plat := platform.HiKey970()
+	if err := scn.Validate(plat.NumCores()); err != nil {
+		return nil, err
+	}
+	if len(cfg.LevelGrid) == 0 {
+		return nil, fmt.Errorf("oracle: empty level grid")
+	}
+	for _, l := range cfg.LevelGrid {
+		for _, c := range plat.Clusters {
+			if l < 0 || l >= c.NumOPPs() {
+				return nil, fmt.Errorf("oracle: level %d outside cluster ladder", l)
+			}
+		}
+	}
+	return &TraceSet{
+		Scenario:  scn,
+		Grid:      append([]int(nil), cfg.LevelGrid...),
+		NumCores:  plat.NumCores(),
+		FreeCores: scn.FreeCores(plat.NumCores()),
+		cfg:       &cfg,
+		points:    make(map[traceKey]TracePoint),
+		warm:      make(map[[2]int][]float64),
+	}, nil
+}
+
+// CollectTraces returns the scenario's trace set with every (free core,
+// f_l, f_b) point simulated. Per VF combination, the background is warmed
+// up once and the warm temperature field is reused for every AoI
+// placement, mirroring the paper's redundancy-avoidance.
+func CollectTraces(scn Scenario, cfg Config) (*TraceSet, error) {
+	ts, err := NewTraceSet(scn, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := ts.fill(); err != nil {
+		return nil, err
+	}
+	return ts, nil
 }
 
 // Point returns the trace point for the AoI on core at grid positions
-// (li, bi).
-func (ts *TraceSet) Point(core platform.CoreID, li, bi int) (TracePoint, bool) {
-	p, ok := ts.Points[traceKey{core, li, bi}]
-	return p, ok
+// (li, bi), simulating it on first read. A point outside the set — a
+// background core, a position off the grid, or a key a loaded set lacks —
+// is an error, as is a failed simulation.
+func (ts *TraceSet) Point(core platform.CoreID, li, bi int) (TracePoint, error) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.pointLocked(core, li, bi)
 }
 
-// MaxAoIIPS returns the highest AoI IPS observed anywhere in the traces —
-// the reference for sweeping QoS-target fractions.
+// pointLocked is Point with ts.mu held.
+func (ts *TraceSet) pointLocked(core platform.CoreID, li, bi int) (TracePoint, error) {
+	k := traceKey{core, li, bi}
+	if p, ok := ts.points[k]; ok {
+		return p, nil
+	}
+	if ts.cfg == nil || li < 0 || li >= len(ts.Grid) || bi < 0 || bi >= len(ts.Grid) ||
+		!slices.Contains(ts.FreeCores, core) {
+		return TracePoint{}, fmt.Errorf("oracle: missing trace point core=%d li=%d bi=%d", core, li, bi)
+	}
+	ll, bl := ts.Grid[li], ts.Grid[bi]
+	warm, ok := ts.warm[[2]int{li, bi}]
+	if !ok {
+		warm = warmupTemps(ts.Scenario, *ts.cfg, ll, bl)
+		ts.warm[[2]int{li, bi}] = warm
+	}
+	p, err := measure(ts.Scenario, *ts.cfg, ll, bl, core, warm)
+	if err != nil {
+		return TracePoint{}, err
+	}
+	ts.points[k] = p
+	return p, nil
+}
+
+// fill reads every point of the grid, in (f_l, f_b, core) order, and
+// returns the set's points; a loaded set returns what its file held.
+// Once every key is present the set never writes to the map again, so
+// callers may range over it without the lock.
+func (ts *TraceSet) fill() (map[traceKey]TracePoint, error) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if ts.cfg != nil {
+		for li := range ts.Grid {
+			for bi := range ts.Grid {
+				for _, core := range ts.FreeCores {
+					if _, err := ts.pointLocked(core, li, bi); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+	return ts.points, nil
+}
+
+// MaxAoIIPS returns the highest AoI IPS anywhere in the traces — the
+// reference for sweeping QoS-target fractions. It first simulates every
+// point not read yet; if a simulation fails it returns 0, as for a set
+// without AoI progress (ExtractExamples reports the error itself).
 func (ts *TraceSet) MaxAoIIPS() float64 {
+	points, err := ts.fill()
+	if err != nil {
+		return 0
+	}
+	return maxAoIIPS(points)
+}
+
+func maxAoIIPS(points map[traceKey]TracePoint) float64 {
 	m := 0.0
-	for _, p := range ts.Points {
+	for _, p := range points {
 		if p.AoIIPS > m {
 			m = p.AoIIPS
 		}
@@ -204,49 +318,6 @@ func (m *pinned) Place(j workload.Job) platform.CoreID {
 func endless(spec workload.AppSpec) workload.AppSpec {
 	spec.TotalInstr = 1e18
 	return spec
-}
-
-// CollectTraces executes the scenario once per (free core, f_l, f_b)
-// combination and returns the measured trace set. Per VF combination, the
-// background is warmed up once and the warm temperature field is reused
-// for every AoI placement, mirroring the paper's redundancy-avoidance.
-func CollectTraces(scn Scenario, cfg Config) (*TraceSet, error) {
-	plat := platform.HiKey970()
-	if err := scn.Validate(plat.NumCores()); err != nil {
-		return nil, err
-	}
-	if len(cfg.LevelGrid) == 0 {
-		return nil, fmt.Errorf("oracle: empty level grid")
-	}
-	for _, l := range cfg.LevelGrid {
-		for _, c := range plat.Clusters {
-			if l < 0 || l >= c.NumOPPs() {
-				return nil, fmt.Errorf("oracle: level %d outside cluster ladder", l)
-			}
-		}
-	}
-
-	ts := &TraceSet{
-		Scenario:  scn,
-		Grid:      append([]int(nil), cfg.LevelGrid...),
-		NumCores:  plat.NumCores(),
-		FreeCores: scn.FreeCores(plat.NumCores()),
-		Points:    make(map[traceKey]TracePoint),
-	}
-
-	for li, ll := range cfg.LevelGrid {
-		for bi, bl := range cfg.LevelGrid {
-			warm := warmupTemps(scn, cfg, ll, bl)
-			for _, core := range ts.FreeCores {
-				p, err := measure(scn, cfg, ll, bl, core, warm)
-				if err != nil {
-					return nil, err
-				}
-				ts.Points[traceKey{core, li, bi}] = p
-			}
-		}
-	}
-	return ts, nil
 }
 
 // warmupTemps runs the background alone at the given levels and returns the

@@ -16,7 +16,7 @@ import (
 // label sensitivities or example caps — exactly the decoupling the paper's
 // methodology enables.
 
-// traceSetJSON is the serialization schema: the Points map (struct keys)
+// traceSetJSON is the serialization schema: the point map (struct keys)
 // becomes a flat record list, and app specs are stored by name.
 type traceSetJSON struct {
 	AoI        string           `json:"aoi"`
@@ -40,8 +40,13 @@ type tracePointJSON struct {
 	PeakTemp float64 `json:"peak"`  // °C
 }
 
-// SaveTraces writes a trace set as gzipped JSON.
+// SaveTraces writes a trace set as gzipped JSON, first simulating every
+// point of an on-demand set not read yet.
 func SaveTraces(ts *TraceSet, path string) error {
+	points, err := ts.fill()
+	if err != nil {
+		return err
+	}
 	out := traceSetJSON{
 		AoI:      ts.Scenario.AoI.Name,
 		Grid:     ts.Grid,
@@ -50,7 +55,7 @@ func SaveTraces(ts *TraceSet, path string) error {
 	for _, b := range ts.Scenario.Background {
 		out.Background = append(out.Background, bgJSON{Name: b.Spec.Name, Core: int(b.Core)})
 	}
-	for k, p := range ts.Points {
+	for k, p := range points {
 		out.Points = append(out.Points, tracePointJSON{
 			Core: int(k.core), LI: k.li, BI: k.bi,
 			AoIIPS: p.AoIIPS, AoIL2DPS: p.AoIL2DPS, PeakTemp: p.PeakTemp,
@@ -73,7 +78,8 @@ func SaveTraces(ts *TraceSet, path string) error {
 }
 
 // LoadTraces reads a trace set written by SaveTraces, resolving benchmark
-// names against the current catalog.
+// names against the current catalog. The set has no Config, so it never
+// simulates: a point its file lacks is missing.
 func LoadTraces(path string) (*TraceSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -112,13 +118,13 @@ func LoadTraces(path string) (*TraceSet, error) {
 		Grid:      in.Grid,
 		NumCores:  in.NumCores,
 		FreeCores: scn.FreeCores(in.NumCores),
-		Points:    make(map[traceKey]TracePoint, len(in.Points)),
+		points:    make(map[traceKey]TracePoint, len(in.Points)),
 	}
 	for _, p := range in.Points {
 		if p.LI < 0 || p.LI >= len(in.Grid) || p.BI < 0 || p.BI >= len(in.Grid) {
 			return nil, fmt.Errorf("oracle: %s: point outside grid", path)
 		}
-		ts.Points[traceKey{platform.CoreID(p.Core), p.LI, p.BI}] = TracePoint{
+		ts.points[traceKey{platform.CoreID(p.Core), p.LI, p.BI}] = TracePoint{
 			AoIIPS: p.AoIIPS, AoIL2DPS: p.AoIL2DPS, PeakTemp: p.PeakTemp,
 		}
 	}

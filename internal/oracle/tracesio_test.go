@@ -23,11 +23,11 @@ func TestTracesSaveLoadRoundTrip(t *testing.T) {
 	if back.Scenario.AoI.Name != "adi" || back.NumCores != ts.NumCores {
 		t.Fatalf("scenario metadata lost: %+v", back.Scenario.AoI.Name)
 	}
-	if len(back.Points) != len(ts.Points) {
-		t.Fatalf("points %d, want %d", len(back.Points), len(ts.Points))
+	if len(back.points) != len(ts.points) {
+		t.Fatalf("points %d, want %d", len(back.points), len(ts.points))
 	}
-	for k, p := range ts.Points {
-		q, ok := back.Points[k]
+	for k, p := range ts.points {
+		q, ok := back.points[k]
 		if !ok || q != p {
 			t.Fatalf("point %+v lost or changed: %+v vs %+v", k, p, q)
 		}

@@ -15,17 +15,19 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # race_pass runs the race detector over every package that runs
-# goroutines: the serving stack and its router, the inference substrate it
-# shares models with, the continual learner's background trainer and hot
-# swap, and the simulation/workload/conformance/experiment layers. The
+# goroutines or is shared across them: the serving stack and its router,
+# the inference substrate it shares models with, the continual learner's
+# background trainer and hot swap, the oracle's on-demand trace sets its
+# labeling workers share, and the simulation/workload/conformance/experiment
+# layers. The
 # experiments package runs with -short so the race detector's ~20x
 # slowdown doesn't blow the test timeout on the full oracle+training
 # pipeline; its artifact and concurrency tests still run.
 race_pass() {
-    echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry, conformance, online)"
+    echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry, conformance, online, oracle)"
     go test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
         ./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/... \
-        ./internal/conformance/... ./internal/online/...
+        ./internal/conformance/... ./internal/online/... ./internal/oracle/...
     echo "== go test -race -short (experiments)"
     go test -race -short ./internal/experiments/...
 }
