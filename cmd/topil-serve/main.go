@@ -14,9 +14,9 @@
 //	GET    /v1/jobs        list jobs
 //	GET    /v1/jobs/{id}   poll one job
 //	DELETE /v1/jobs/{id}   cancel a job
-//	GET    /v1/stats       per-endpoint, batcher and worker-pool metrics
 //	GET    /v1/online      continual-learning status snapshot
-//	GET    /metrics        Prometheus text exposition (?format=json for JSON)
+//	GET    /metrics        per-route, batcher and worker-pool metrics as
+//	                       Prometheus text (?format=json for JSON)
 //	GET    /v1/trace       Chrome trace-event JSON of recent request spans
 //
 // -online MODEL turns on DAgger continual learning (docs/ONLINE.md):

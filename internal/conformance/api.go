@@ -73,7 +73,6 @@ var apiChecks = []apiCheck{
 	{"infer", checkInfer},
 	{"sim", checkSim},
 	{"jobs", checkJobs},
-	{"stats", checkStats},
 	{"online", checkOnline},
 	{"notFound", checkNotFound},
 	{"backpressure", checkBackpressure},
@@ -207,14 +206,12 @@ var wireEnums = map[string][]string{
 // null entries.
 var wireNonNull = map[string]bool{
 	"models": true, "outputs": true, "batchSizes": true, "jobs": true,
-	"endpoints": true, "batchers": true,
 }
 
 // wireBounds are the inclusive [min, max] bounds of the numbers under a
 // key. Every other number must be non-negative.
 var wireBounds = map[string][2]float64{
-	"load": {0, 1}, "shadowAgreement": {0, 1},
-	"batchSizes": {1, math.Inf(1)}, "workers": {1, math.Inf(1)}, "queueCap": {1, math.Inf(1)},
+	"load": {0, 1}, "shadowAgreement": {0, 1}, "batchSizes": {1, math.Inf(1)},
 	"core":    {-1, math.Inf(1)},
 	"outputs": {math.Inf(-1), math.Inf(1)},
 	"avgTemp": {math.Inf(-1), math.Inf(1)}, "peakTemp": {math.Inf(-1), math.Inf(1)},
@@ -464,13 +461,6 @@ func checkJobs(ctx context.Context, cfg APIConfig) (string, bool, error) {
 		return "", false, err
 	}
 	return fmt.Sprintf("%d job(s) listed", len(resp.Jobs)), false, nil
-}
-
-func checkStats(ctx context.Context, cfg APIConfig) (string, bool, error) {
-	if _, _, err := call[serve.StatsResponse](ctx, cfg, http.MethodGet, "/v1/stats", nil, http.StatusOK); err != nil {
-		return "", false, err
-	}
-	return "stats shape ok", false, nil
 }
 
 func checkOnline(ctx context.Context, cfg APIConfig) (string, bool, error) {

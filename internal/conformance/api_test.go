@@ -181,7 +181,7 @@ func TestRunAPIChecksDown(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	cfg := APIConfig{BaseURL: dead.URL, Model: "model-1", Dedicated: true}
-	for _, r := range RunAPIChecks(context.Background(), cfg, []string{"healthz", "stats"}) {
+	for _, r := range RunAPIChecks(context.Background(), cfg, []string{"healthz", "models"}) {
 		if r.OK {
 			t.Errorf("check %s passed against a dead server", r.Check)
 		}

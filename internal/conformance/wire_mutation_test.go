@@ -31,7 +31,6 @@ var wireFixtures = []struct {
 	{"models", decodeAs[modelsBody]},
 	{"online_disabled", decodeAs[online.Status]},
 	{"online_enabled", decodeAs[online.Status]},
-	{"stats", decodeAs[serve.StatsResponse]},
 }
 
 func decodeAs[T any](body []byte) error {

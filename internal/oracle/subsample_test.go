@@ -15,16 +15,18 @@ func TestMaxExamplesPerScenarioCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) <= 50 {
-		t.Skipf("only %d examples; cap test needs more", len(full))
+	// The cap must drop examples, so it is derived from the full count.
+	if len(full) < 4 {
+		t.Fatalf("only %d examples; the cap test needs at least 4", len(full))
 	}
-	cfg.MaxExamplesPerScenario = 50
+	limit := len(full) / 2
+	cfg.MaxExamplesPerScenario = limit
 	capped, err := ExtractExamples(ts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(capped) != 50 {
-		t.Fatalf("capped size = %d, want 50", len(capped))
+	if len(capped) != limit {
+		t.Fatalf("capped size = %d, want %d of %d", len(capped), limit, len(full))
 	}
 	// Deterministic.
 	again, err := ExtractExamples(ts, cfg)

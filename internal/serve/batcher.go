@@ -142,9 +142,9 @@ type Batcher struct {
 	stats  batcherMetrics
 }
 
-// batcherMetrics are the coalescing counters as telemetry handles. Every
-// field is lock-free, so the flush path no longer serializes on the stats
-// mutex; BatcherStats is derived from these at snapshot time.
+// batcherMetrics are the coalescing counters as telemetry handles, read
+// through GET /metrics. Every field is lock-free, so the flush path never
+// serializes on a stats mutex.
 type batcherMetrics struct {
 	requests    *telemetry.Counter // rows accepted
 	rejected    *telemetry.Counter // rows refused with ErrOverloaded
@@ -181,22 +181,6 @@ func newBatcherMetrics(reg *telemetry.Registry, model string) batcherMetrics {
 		queueDepth: reg.GaugeVec("serve_batcher_queue_depth",
 			"inference requests waiting for a batch", "model").With(model),
 	}
-}
-
-// BatcherStats is a point-in-time snapshot of the coalescing behaviour.
-// Requests, Rejected, InferErrors and the batch sizes count rows.
-type BatcherStats struct {
-	Requests  uint64 `json:"requests"`
-	Rejected  uint64 `json:"rejected"`
-	Batches   uint64 `json:"batches"`
-	FlushFull uint64 `json:"flushFull"`
-	// FlushTimer counts batches dispatched with fewer than MaxBatch rows
-	// (the name predates the work-conserving collector).
-	FlushTimer   uint64  `json:"flushTimer"`
-	LargestBatch int     `json:"largestBatch"`
-	MeanBatch    float64 `json:"meanBatch"`
-	InferErrors  uint64  `json:"inferErrors"`
-	BatchPanics  uint64  `json:"batchPanics"`
 }
 
 // NewBatcher starts a batcher over one fixed backend. inputDim guards
@@ -469,23 +453,3 @@ func (b *Batcher) QueueDepth() int { return len(b.reqs) }
 
 // QueueCap returns the request queue capacity.
 func (b *Batcher) QueueCap() int { return b.cfg.QueueCap }
-
-// Stats returns a snapshot of the coalescing counters, derived from the
-// batcher's telemetry handles in the JSON shape /v1/stats has always
-// served.
-func (b *Batcher) Stats() BatcherStats {
-	s := BatcherStats{
-		Requests:     uint64(b.stats.requests.Value()),
-		Rejected:     uint64(b.stats.rejected.Value()),
-		Batches:      b.stats.batchSize.Count(),
-		FlushFull:    uint64(b.stats.flushFull.Value()),
-		FlushTimer:   uint64(b.stats.flushTimer.Value()),
-		LargestBatch: int(b.stats.batchSize.Max()),
-		InferErrors:  uint64(b.stats.inferErrors.Value()),
-		BatchPanics:  uint64(b.stats.batchPanics.Value()),
-	}
-	if s.Batches > 0 {
-		s.MeanBatch = b.stats.batchSize.Sum() / float64(s.Batches)
-	}
-	return s
-}

@@ -156,9 +156,10 @@ func TestBatcherCoalesces(t *testing.T) {
 		if calls := backend.calls.Load(); calls != 2 {
 			t.Fatalf("%d device calls for %d requests, want 2", calls, clients)
 		}
-		st := b.Stats()
-		if st.Requests != clients || st.Batches != 2 || st.LargestBatch != clients-1 {
-			t.Errorf("stats = %+v, want %d requests over 2 batches, largest %d", st, clients, clients-1)
+		requests, batches, largest := b.stats.requests.Value(), b.stats.batchSize.Count(), b.stats.batchSize.Max()
+		if requests != clients || batches != 2 || largest != clients-1 {
+			t.Errorf("requests = %v, batches = %d, largest = %v, want %d requests over 2 batches, largest %d",
+				requests, batches, largest, clients, clients-1)
 		}
 	})
 
@@ -203,8 +204,10 @@ func TestBatcherCoalesces(t *testing.T) {
 		if calls := backend.calls.Load(); calls != 2 {
 			t.Fatalf("%d device calls, want 2", calls)
 		}
-		if st := b.Stats(); st.LargestBatch != batchRows || st.FlushFull != 1 || st.FlushTimer != 1 {
-			t.Errorf("stats = %+v, want largest batch %d, 1 full and 1 partial", st, batchRows)
+		largest, full, partial := b.stats.batchSize.Max(), b.stats.flushFull.Value(), b.stats.flushTimer.Value()
+		if largest != batchRows || full != 1 || partial != 1 {
+			t.Errorf("largest batch %v, %v full, %v partial, want largest batch %d, 1 full and 1 partial",
+				largest, full, partial, batchRows)
 		}
 	})
 }
@@ -233,8 +236,8 @@ func TestBatcherIdleDispatch(t *testing.T) {
 	if info.DeviceLatency != dev.Latency(1) {
 		t.Errorf("reported device latency %v, want the modelled %v", info.DeviceLatency, dev.Latency(1))
 	}
-	if st := b.Stats(); st.FlushTimer != 1 {
-		t.Errorf("flushTimer = %d, want 1 (a batch below MaxBatch rows)", st.FlushTimer)
+	if n := b.stats.flushTimer.Value(); n != 1 {
+		t.Errorf("flushTimer = %v, want 1 (a batch below MaxBatch rows)", n)
 	}
 }
 
@@ -286,8 +289,8 @@ func TestBatcherBackpressure(t *testing.T) {
 	close(backend.release)
 	b.Close()
 	wg.Wait()
-	if st := b.Stats(); st.Rejected == 0 {
-		t.Errorf("stats report no rejected requests: %+v", st)
+	if b.stats.rejected.Value() == 0 {
+		t.Error("rejected counter reports no rejected requests")
 	}
 }
 

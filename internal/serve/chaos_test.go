@@ -99,8 +99,9 @@ func TestBatcherRowFaultIsolation(t *testing.T) {
 	if failed == 0 || failed == n {
 		t.Errorf("%d/%d failures: expected a mix at p=0.5 (seed %d)", failed, n, seed)
 	}
-	if st := b.Stats(); st.InferErrors != uint64(failedRows) || st.BatchPanics != 0 {
-		t.Errorf("stats = %+v, want %d inferErrors (rows of failed requests), 0 panics", st, failedRows)
+	if errs, panics := b.stats.inferErrors.Value(), b.stats.batchPanics.Value(); errs != float64(failedRows) || panics != 0 {
+		t.Errorf("inferErrors = %v, panics = %v, want %d inferErrors (rows of failed requests), 0 panics",
+			errs, panics, failedRows)
 	}
 }
 
@@ -135,8 +136,8 @@ func TestBatcherPanicRecovery(t *testing.T) {
 	if got := ch.EventCount("panic"); got == 0 {
 		t.Fatal("no panics injected")
 	}
-	if st := b.Stats(); st.BatchPanics == 0 || st.InferErrors != uint64(n) {
-		t.Errorf("stats = %+v, want >0 panics and %d inferErrors", st, n)
+	if errs, panics := b.stats.inferErrors.Value(), b.stats.batchPanics.Value(); panics == 0 || errs != n {
+		t.Errorf("inferErrors = %v, panics = %v, want >0 panics and %d inferErrors", errs, panics, n)
 	}
 	b.Close() // must not deadlock or re-panic
 }

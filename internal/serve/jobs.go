@@ -170,27 +170,12 @@ var ErrConflict = errors.New("serve: job id already exists")
 // /v1/drain); the HTTP layer maps it to 503 with a Retry-After hint.
 var ErrDraining = errors.New("serve: draining")
 
-// RunnerStats summarizes the worker pool for /v1/stats.
-type RunnerStats struct {
-	Workers   int    `json:"workers"`
-	QueueCap  int    `json:"queueCap"`
-	Queued    int    `json:"queued"`
-	Running   int    `json:"running"`
-	Done      uint64 `json:"done"`
-	Failed    uint64 `json:"failed"`
-	Canceled  uint64 `json:"canceled"`
-	Submitted uint64 `json:"submitted"`
-	Rejected  uint64 `json:"rejected"`
-}
-
 // Runner executes simulation jobs on a bounded worker pool. Submissions
 // beyond the queue capacity fail fast with ErrOverloaded (429 at the HTTP
 // layer); Shutdown drains in-flight work.
 type Runner struct {
-	reg      *Registry
-	workers  int
-	queueCap int
-	store    JobStore // nil: in-memory only
+	reg   *Registry
+	store JobStore // nil: in-memory only
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -216,12 +201,12 @@ type Runner struct {
 
 // NewRunner starts `workers` goroutines consuming a queue of `queueCap`
 // pending jobs. The registry resolves TOP-IL models; tel receives the
-// pool's metric families (serve_jobs_*) — nil gets a private registry,
-// so Stats works for standalone runners. A non-nil store makes the pool
-// durable: every state transition is journaled before it becomes
-// observable, and construction replays the journal — terminal jobs are
-// restored for GET /v1/jobs/{id}, interrupted (queued/running) jobs are
-// re-enqueued so every accepted job still reaches a terminal state.
+// pool's metric families (serve_jobs_*) — nil gets a private registry. A
+// non-nil store makes the pool durable: every state transition is
+// journaled before it becomes observable, and construction replays the
+// journal — terminal jobs are restored for GET /v1/jobs/{id}, interrupted
+// (queued/running) jobs are re-enqueued so every accepted job still
+// reaches a terminal state.
 func NewRunner(reg *Registry, workers, queueCap int, tel *telemetry.Registry, store JobStore) *Runner {
 	if workers <= 0 {
 		workers = 1
@@ -235,8 +220,6 @@ func NewRunner(reg *Registry, workers, queueCap int, tel *telemetry.Registry, st
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Runner{
 		reg:       reg,
-		workers:   workers,
-		queueCap:  queueCap,
 		store:     store,
 		queue:     make(chan *Job, queueCap),
 		baseCtx:   ctx,
@@ -400,6 +383,22 @@ func (r *Runner) SubmitID(id string, req SimRequest) (JobSnapshot, error) {
 		r.mu.Unlock()
 		return JobSnapshot{}, fmt.Errorf("%w: %q", ErrConflict, id)
 	}
+	if len(r.queue) == cap(r.queue) {
+		r.rejected.Inc()
+		r.mu.Unlock()
+		return JobSnapshot{}, ErrOverloaded
+	}
+	// Journal before any worker can see the job: a 202 implies the queued
+	// record is durable, and the job's later records follow it. On a store
+	// failure nothing is queued or registered, so the client retries
+	// cleanly.
+	if r.store != nil {
+		reqCopy := req
+		if err := r.store.Append(JobRecord{ID: id, State: StateQueued, Req: &reqCopy}); err != nil {
+			r.mu.Unlock()
+			return JobSnapshot{}, fmt.Errorf("serve: job store: %w", err)
+		}
+	}
 	jobCtx, jobCancel := context.WithCancel(r.baseCtx)
 	j := &Job{
 		id:      id,
@@ -409,30 +408,14 @@ func (r *Runner) SubmitID(id string, req SimRequest) (JobSnapshot, error) {
 		runCtx:  jobCtx,
 		cancel:  jobCancel,
 	}
-	select {
-	case r.queue <- j:
-		// Journal before the job becomes observable: a 202 implies the
-		// queued record is durable. On a store failure the job is
-		// canceled and never registered, so the client retries cleanly.
-		if r.store != nil {
-			reqCopy := req
-			if err := r.store.Append(JobRecord{ID: j.id, State: StateQueued, Req: &reqCopy}); err != nil {
-				r.mu.Unlock()
-				jobCancel()
-				return JobSnapshot{}, fmt.Errorf("serve: job store: %w", err)
-			}
-		}
-		r.jobs[j.id] = j
-		r.order = append(r.order, j.id)
-		r.submitted.Inc()
-		r.mu.Unlock()
-		return j.Snapshot(), nil
-	default:
-		r.rejected.Inc()
-		r.mu.Unlock()
-		jobCancel()
-		return JobSnapshot{}, ErrOverloaded
-	}
+	// Only submitters send on the queue, each under r.mu, so the room
+	// checked above is still there.
+	r.queue <- j
+	r.jobs[j.id] = j
+	r.order = append(r.order, j.id)
+	r.submitted.Inc()
+	r.mu.Unlock()
+	return j.Snapshot(), nil
 }
 
 // QueueDepth returns the number of jobs waiting for a worker — the signal
@@ -440,7 +423,7 @@ func (r *Runner) SubmitID(id string, req SimRequest) (JobSnapshot, error) {
 func (r *Runner) QueueDepth() int { return len(r.queue) }
 
 // QueueCap returns the job queue capacity.
-func (r *Runner) QueueCap() int { return r.queueCap }
+func (r *Runner) QueueCap() int { return cap(r.queue) }
 
 // Get returns a job by ID.
 func (r *Runner) Get(id string) (*Job, bool) {
@@ -478,29 +461,6 @@ func (r *Runner) Cancel(id string) bool {
 		cancel()
 	}
 	return true
-}
-
-// Stats returns a snapshot of the pool, derived from the runner's
-// telemetry counters in the JSON shape /v1/stats has always served.
-func (r *Runner) Stats() RunnerStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := RunnerStats{
-		Workers:   r.workers,
-		QueueCap:  r.queueCap,
-		Queued:    len(r.queue),
-		Done:      uint64(r.done.Value()),
-		Failed:    uint64(r.failed.Value()),
-		Canceled:  uint64(r.canceled.Value()),
-		Submitted: uint64(r.submitted.Value()),
-		Rejected:  uint64(r.rejected.Value()),
-	}
-	for _, j := range r.jobs {
-		if j.State() == StateRunning {
-			s.Running++
-		}
-	}
-	return s
 }
 
 // Shutdown stops accepting submissions and drains: queued and running jobs

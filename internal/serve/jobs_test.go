@@ -162,8 +162,8 @@ func TestRunnerBackpressureAndCancel(t *testing.T) {
 	if _, err := r.Submit(long); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third submit = %v, want ErrOverloaded", err)
 	}
-	if st := r.Stats(); st.Rejected != 1 || st.Submitted != 2 {
-		t.Errorf("stats = %+v", st)
+	if rejected, submitted := r.rejected.Value(), r.submitted.Value(); rejected != 1 || submitted != 2 {
+		t.Errorf("rejected = %v, submitted = %v, want 1 and 2", rejected, submitted)
 	}
 
 	// Cancel the running job directly; drain the rest with an already

@@ -14,59 +14,18 @@ var latencyBuckets = telemetry.ExpBuckets(50e-6, 2, 20)
 // ms converts a duration to fractional milliseconds for JSON snapshots.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// secToMs converts seconds (the registry's base unit) to milliseconds.
-func secToMs(s float64) float64 { return s * 1e3 }
-
-// HistogramSnapshot is the JSON latency summary in /v1/stats, derived
-// from a telemetry.Histogram at snapshot time.
-type HistogramSnapshot struct {
-	Count  uint64  `json:"count"`
-	MeanMs float64 `json:"meanMs"`
-	P50Ms  float64 `json:"p50Ms"`
-	P95Ms  float64 `json:"p95Ms"`
-	MaxMs  float64 `json:"maxMs"`
-}
-
-// histogramSnapshot summarizes a registry histogram of seconds.
-func histogramSnapshot(h *telemetry.Histogram) HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.Count(),
-		P50Ms: secToMs(h.Quantile(0.50)),
-		P95Ms: secToMs(h.Quantile(0.95)),
-		MaxMs: secToMs(h.Max()),
-	}
-	if s.Count > 0 {
-		s.MeanMs = secToMs(h.Sum() / float64(s.Count))
-	}
-	return s
-}
-
-// EndpointSnapshot is the per-endpoint JSON block of /v1/stats.
-type EndpointSnapshot struct {
-	Count   uint64            `json:"count"`
-	Errors  uint64            `json:"errors"`
-	Faults  uint64            `json:"faults"`
-	Latency HistogramSnapshot `json:"latency"`
-}
-
-// Metrics tracks request statistics per endpoint pattern. It is a thin
-// view over two telemetry families —
+// Metrics tracks request statistics per endpoint pattern in two telemetry
+// families, read through GET /metrics:
 //
 //	http_requests_total{route,class}
 //	http_request_duration_seconds{route}
-//
-// — shared between the Prometheus exposition on GET /metrics and the
-// legacy JSON on GET /v1/stats, which Snapshot rebuilds in its original
-// shape. The previous package-private histogram (a linear bucket scan
-// under one mutex, serializing every request's Record) is gone: telemetry
-// histograms use atomic per-bucket counters.
 type Metrics struct {
 	requests *telemetry.CounterVec
 	latency  *telemetry.HistogramVec
 }
 
 // NewMetrics creates the request metrics over the given registry. A nil
-// registry gets a private one, so the snapshot path works standalone.
+// registry gets a private one.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -104,30 +63,4 @@ func (m *Metrics) Record(pattern string, status int, d time.Duration) {
 	}
 	m.requests.With(pattern, statusClass(status)).Inc()
 	m.latency.With(pattern).Observe(d.Seconds())
-}
-
-// Snapshot returns all endpoint counters keyed by pattern, in the JSON
-// shape /v1/stats has always served.
-func (m *Metrics) Snapshot() map[string]EndpointSnapshot {
-	out := make(map[string]EndpointSnapshot)
-	m.latency.Each(func(labels []string, h *telemetry.Histogram) {
-		route := labels[0]
-		s := out[route]
-		s.Latency = histogramSnapshot(h)
-		out[route] = s
-	})
-	m.requests.Each(func(labels []string, c *telemetry.Counter) {
-		route, class := labels[0], labels[1]
-		s := out[route]
-		n := uint64(c.Value())
-		s.Count += n
-		switch class {
-		case "4xx":
-			s.Errors += n
-		case "5xx":
-			s.Faults += n
-		}
-		out[route] = s
-	})
-	return out
 }

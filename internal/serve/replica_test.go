@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,6 +104,124 @@ func TestRunnerJournalsTransitions(t *testing.T) {
 	}
 }
 
+// gateStore is a memStore whose queued record for job id blocks in Append,
+// after closing entered, until release is closed; it then fails with err
+// when err is set.
+type gateStore struct {
+	memStore
+	id      string
+	err     error
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gateStore) Append(rec JobRecord) error {
+	if rec.ID == s.id && rec.State == StateQueued {
+		close(s.entered)
+		<-s.release
+		if s.err != nil {
+			return s.err
+		}
+	}
+	return s.memStore.Append(rec)
+}
+
+// TestRunnerJournalsQueuedBeforeQueueing holds a job's queued record in
+// Append while the single worker is busy with another job: the job must
+// not be in the queue yet, or a worker could journal its running and done
+// records first. A failed append must leave nothing queued, registered,
+// counted or journaled for the refused ID.
+func TestRunnerJournalsQueuedBeforeQueueing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"durable", nil},
+		{"append fails", errors.New("gateStore: disk full")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &gateStore{id: "c-gated", err: tc.err,
+				entered: make(chan struct{}), release: make(chan struct{})}
+			r := NewRunner(NewRegistry(t.TempDir()), 1, 4, nil, store)
+			defer r.Shutdown(context.Background())
+			long := quickSimReq()
+			long.Duration = 86400
+			if _, err := r.SubmitID("c-busy", long); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for j, _ := r.Get("c-busy"); j.State() != StateRunning; {
+				if time.Now().After(deadline) {
+					t.Fatal("busy job never started")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+
+			type submitted struct {
+				snap JobSnapshot
+				err  error
+			}
+			done := make(chan submitted, 1)
+			go func() {
+				snap, err := r.SubmitID("c-gated", quickSimReq())
+				done <- submitted{snap, err}
+			}()
+			<-store.entered
+			if d := r.QueueDepth(); d != 0 {
+				t.Errorf("queue depth %d while the queued record is unwritten, want 0", d)
+			}
+			close(store.release)
+			res := <-done
+			if !r.Cancel("c-busy") {
+				t.Fatal("Cancel(c-busy) = false")
+			}
+
+			if tc.err != nil {
+				if res.err == nil || !strings.Contains(res.err.Error(), "disk full") {
+					t.Fatalf("SubmitID error = %v, want the store's", res.err)
+				}
+				if d := r.QueueDepth(); d != 0 {
+					t.Errorf("queue depth %d after a refused submission, want 0", d)
+				}
+				if _, ok := r.Get("c-gated"); ok {
+					t.Error("refused job is registered")
+				}
+				r.Shutdown(context.Background())
+				if n := r.canceled.Value(); n != 1 {
+					t.Errorf("canceled counter = %v, want 1 (the busy job only)", n)
+				}
+				if n := r.submitted.Value(); n != 1 {
+					t.Errorf("submitted counter = %v, want 1", n)
+				}
+				recs, _ := store.Replay()
+				for _, rec := range recs {
+					if rec.ID == "c-gated" {
+						t.Errorf("refused job journaled %+v", rec)
+					}
+				}
+				return
+			}
+
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			if final := waitTerminal(t, r, "c-gated"); final.State != StateDone {
+				t.Fatalf("gated job ended %q (%s)", final.State, final.Error)
+			}
+			recs, _ := store.Replay()
+			var states []JobState
+			for _, rec := range recs {
+				if rec.ID == "c-gated" {
+					states = append(states, rec.State)
+				}
+			}
+			if !slices.Equal(states, []JobState{StateQueued, StateRunning, StateDone}) {
+				t.Errorf("journal states = %v, want [queued running done]", states)
+			}
+		})
+	}
+}
+
 func TestRunnerRecoversFromStore(t *testing.T) {
 	store := &memStore{}
 	// Simulate a crashed replica's journal: one finished job, one that was
@@ -160,8 +279,8 @@ func TestRunnerJobFailsDuringExecution(t *testing.T) {
 		}
 	}
 	r.Shutdown(context.Background())
-	if n := r.Stats().Failed; n != 2 {
-		t.Errorf("failed counter = %d, want 2", n)
+	if n := r.failed.Value(); n != 2 {
+		t.Errorf("failed counter = %v, want 2", n)
 	}
 	recs, _ := store.Replay()
 	failed := 0

@@ -17,7 +17,7 @@
 //	Runner     executes full sim+core/governor runs as jobs (queued /
 //	           running / done / failed / canceled) on a bounded pool.
 //	Server     the HTTP surface: /v1/infer, /v1/sim, /v1/jobs/{id},
-//	           /v1/models, /v1/stats, /v1/healthz — with request-ID
+//	           /v1/models, /v1/healthz, /metrics — with request-ID
 //	           middleware, per-endpoint metrics and 429 backpressure.
 //
 // Everything is stdlib-only (net/http + encoding/json), matching the rest

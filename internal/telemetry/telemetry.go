@@ -370,29 +370,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
 }
 
-// Each calls fn for every child histogram in label order, with the child's
-// label values. Nil vecs do nothing. Useful for building JSON views (the
-// serving layer's /v1/stats) over registry-backed metrics.
-func (v *HistogramVec) Each(fn func(labels []string, h *Histogram)) {
-	if v == nil {
-		return
-	}
-	for _, e := range v.f.sortedChildren() {
-		fn(decodeLabelKey(e.key), e.metric.(*Histogram))
-	}
-}
-
-// Each calls fn for every child counter in label order, with the child's
-// label values. Nil vecs do nothing.
-func (v *CounterVec) Each(fn func(labels []string, c *Counter)) {
-	if v == nil {
-		return
-	}
-	for _, e := range v.f.sortedChildren() {
-		fn(decodeLabelKey(e.key), e.metric.(*Counter))
-	}
-}
-
 // ExpBuckets returns n exponentially spaced histogram bucket bounds
 // starting at start and multiplying by factor — the standard shape for
 // latency distributions. It panics on a non-positive start, a factor not

@@ -67,8 +67,6 @@ func TestNilHandlesNoOp(t *testing.T) {
 	cv.With("a").Inc()
 	gv.With("a").Set(1)
 	hv.With("a").Observe(1)
-	cv.Each(func([]string, *Counter) { t.Fatal("nil vec Each must not call") })
-	hv.Each(func([]string, *Histogram) { t.Fatal("nil vec Each must not call") })
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +178,21 @@ func TestVecLabels(t *testing.T) {
 	if got := cv.With("/a", "2xx").Value(); got != 3 {
 		t.Fatalf("labelled counter = %v, want 3", got)
 	}
-	var seen []string
-	cv.Each(func(labels []string, c *Counter) {
-		seen = append(seen, strings.Join(labels, "|"))
-	})
-	if len(seen) != 3 {
-		t.Fatalf("Each visited %d children, want 3: %v", len(seen), seen)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`req_total{route="/a",class="2xx"} 3`,
+		`req_total{route="/a",class="4xx"} 1`,
+		`req_total{route="/b",class="2xx"} 1`,
+	} {
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Fatalf("exposition lacks child %q:\n%s", want, sb.String())
+		}
+	}
+	if n := strings.Count(sb.String(), "\nreq_total{"); n != 3 {
+		t.Fatalf("exposition has %d req_total children, want 3:\n%s", n, sb.String())
 	}
 	gv := r.GaugeVec("depth", "", "pool")
 	gv.With("jobs").Set(7)
@@ -194,9 +201,7 @@ func TestVecLabels(t *testing.T) {
 	}
 	hv := r.HistogramVec("lat_seconds", "", []float64{1, 2}, "route")
 	hv.With("/a").Observe(1.5)
-	count := uint64(0)
-	hv.Each(func(labels []string, h *Histogram) { count += h.Count() })
-	if count != 1 {
+	if count := hv.With("/a").Count(); count != 1 {
 		t.Fatalf("vec histogram count = %d, want 1", count)
 	}
 }
