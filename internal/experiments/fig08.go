@@ -34,16 +34,6 @@ type Fig8Result struct {
 	CPUTime map[string][][]float64
 }
 
-// Cell returns the aggregate for (technique, rate).
-func (r *Fig8Result) Cell(technique string, rate float64) (Fig8Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Technique == technique && c.ArrivalRate == rate {
-			return c, true
-		}
-	}
-	return Fig8Cell{}, false
-}
-
 // MeanTempOf averages a technique's AvgTemp over all arrival rates.
 func (r *Fig8Result) MeanTempOf(technique string) float64 {
 	var xs []float64

@@ -394,19 +394,6 @@ func (p *Pipeline) PeakIPS(spec workload.AppSpec) float64 {
 	return p.perf.PeakIPS(p.plat, spec)
 }
 
-// LittleMaxIPS returns the application's IPS alone on a LITTLE core at the
-// cluster's top VF level (Fig. 11 sets QoS targets below this).
-func (p *Pipeline) LittleMaxIPS(spec workload.AppSpec) float64 {
-	little, _ := p.plat.ClusterByKind(platform.Little)
-	best := 0.0
-	for _, ph := range spec.Phases {
-		if v := p.perf.IPS(ph, platform.Little, little.MaxFreq(), 1); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // newEngine builds an evaluation engine. trace names the cell in the
 // pipeline's TraceSet; it must identify the cell (technique, seed,
 // scenario...), not its dispatch order.

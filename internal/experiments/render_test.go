@@ -43,12 +43,6 @@ func TestFig8ResultAccessors(t *testing.T) {
 			Violations: stats.Summary{Mean: 3}},
 		{Technique: "GTS/ondemand", ArrivalRate: 0.1, AvgTemp: stats.Summary{Mean: 40}},
 	}
-	if c, ok := r.Cell("TOP-IL", 0.2); !ok || c.AvgTemp.Mean != 32 {
-		t.Errorf("Cell lookup failed: %+v %v", c, ok)
-	}
-	if _, ok := r.Cell("TOP-IL", 0.3); ok {
-		t.Error("Cell found nonexistent rate")
-	}
 	if got := r.MeanTempOf("TOP-IL"); got != 31 {
 		t.Errorf("MeanTempOf = %g, want 31", got)
 	}

@@ -2,10 +2,10 @@ package features
 
 import "repro/internal/sim"
 
-// Batch precomputes the AoI-independent aggregates of a Snapshot so that
-// building the feature rows for all n running applications costs
-// O(n·(cores+clusters)) instead of the O(n²·clusters) of calling VectorInto
-// per AoI:
+// Batch is the run-time path from a Snapshot to feature rows: it
+// precomputes the AoI-independent aggregates once, so building the rows
+// for all n running applications costs O(n·(cores+clusters)) instead of
+// the O(n²·clusters) of evaluating Eq. (2) per AoI:
 //
 //   - fmin caches each application's Eq. (1) minimum-frequency estimate
 //     (it does not depend on which application is the AoI);
@@ -17,10 +17,11 @@ import "repro/internal/sim"
 //     counter compare instead of a rescan of every application.
 //
 // Max and occupancy are order-independent, so every row is bit-identical
-// to the per-AoI VectorInto path (pinned by TestBatchMatchesVectorInto).
-// The one assumption is that app IDs in the Snapshot are unique — the
-// per-AoI path excludes the AoI by ID, the batched one by index — which
-// holds for snapshots built by FromEnv and by the oracle.
+// to evaluating Eqs. (1)/(2) per AoI, the direct reference the tests keep
+// (pinned by TestBatchMatchesVectorInto). The one assumption is that app
+// IDs in the Snapshot are unique — the per-AoI definition excludes the
+// AoI by ID, the batched one by index — which holds for every snapshot
+// captured from a sim.Env.
 type Batch struct {
 	s    Snapshot
 	fmin []float64 // per-app Eq. (1) estimate on its own cluster
@@ -68,9 +69,9 @@ func (b *Batch) Reset(s Snapshot) {
 func (b *Batch) Len() int { return len(b.s.Apps) }
 
 // VectorInto builds the feature vector for the AoI at index aoi of the
-// Reset snapshot into dst (length Dim), without heap allocation and
-// bit-identical to VectorInto(dst, s, aoi). It panics on an out-of-range
-// index or a buffer of the wrong length.
+// Reset snapshot into dst (length Dim), without heap allocation, by way of
+// AssembleInto. It panics on an out-of-range index or a buffer of the
+// wrong length.
 //
 //hot:per-epoch-inference-path
 func (b *Batch) VectorInto(dst []float64, aoi int) {
@@ -129,7 +130,7 @@ func resizeInts(v []int, n int) []int {
 // FromEnvInto refills dst from the live simulation environment, reusing
 // dst's backing slices; views is caller-owned scratch for the intermediate
 // application list (pass the previous call's return value to stop
-// allocating). The content is identical to FromEnv's.
+// allocating). FromEnv is this call into a fresh Snapshot.
 func FromEnvInto(dst *Snapshot, env *sim.Env, views []sim.AppView) []sim.AppView {
 	plat := env.Platform()
 	dst.NumCores = plat.NumCores()

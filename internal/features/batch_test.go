@@ -62,7 +62,7 @@ func randomSnapshot(rng *rand.Rand) Snapshot {
 
 // TestBatchMatchesVectorInto pins the batched feature path's contract: for
 // every app of every snapshot, Batch.VectorInto produces bit-for-bit the
-// row that the O(n²) per-AoI VectorInto produces.
+// row that the O(n²) per-AoI reference refVectorInto produces.
 func TestBatchMatchesVectorInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var b Batch // reused across snapshots to exercise Reset's resizing
@@ -77,7 +77,7 @@ func TestBatchMatchesVectorInto(t *testing.T) {
 		want := make([]float64, dim)
 		for aoi := range s.Apps {
 			b.VectorInto(got, aoi)
-			VectorInto(want, s, aoi)
+			refVectorInto(want, s, aoi)
 			for k := range want {
 				if got[k] != want[k] {
 					t.Fatalf("trial %d aoi %d feature %d: batched %v != direct %v\napp %+v",
@@ -99,19 +99,23 @@ func TestBatchMatchesVectorInto(t *testing.T) {
 	}
 }
 
-// TestVectorsMatchesPerAoI guards the Vectors rewrite over Batch against
-// the direct per-row construction.
-func TestVectorsMatchesPerAoI(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
+// TestAssembleMatchesBatch checks the design-time entry point against the
+// run-time one: Assemble, fed the components of a Batch row (as the oracle
+// feeds it its swept levels), rebuilds that row bit for bit.
+func TestAssembleMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b Batch
 	for trial := 0; trial < 100; trial++ {
 		s := randomSnapshot(rng)
-		got := Vectors(s)
-		if len(got) != len(s.Apps) {
-			t.Fatalf("trial %d: %d rows for %d apps", trial, len(got), len(s.Apps))
-		}
-		for i := range got {
-			if want := Vector(s, i); !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("trial %d row %d: %v != %v", trial, i, got[i], want)
+		b.Reset(s)
+		nc, ncl := s.NumCores, len(s.Clusters)
+		row := make([]float64, Dim(nc, ncl))
+		for aoi, a := range s.Apps {
+			b.VectorInto(row, aoi)
+			got := Assemble(a.IPS, a.L2DPS, a.Core, nc, a.QoS,
+				row[3+nc:UtilOffset(nc, ncl)], row[UtilOffset(nc, ncl):])
+			if !reflect.DeepEqual(got, row) {
+				t.Fatalf("trial %d aoi %d: Assemble %v != Batch row %v", trial, aoi, got, row)
 			}
 		}
 	}
@@ -137,8 +141,8 @@ func TestBatchPanics(t *testing.T) {
 }
 
 // TestFromEnvIntoMatchesFromEnv checks that the reusing capture path fills
-// exactly the snapshot FromEnv builds, including on reuse with a stale
-// larger app list in the destination.
+// exactly the snapshot a fresh capture (FromEnv) builds, including on
+// reuse with a stale larger app list in the destination.
 func TestFromEnvIntoMatchesFromEnv(t *testing.T) {
 	cfg := sim.DefaultConfig(true, 25)
 	e := sim.New(cfg)

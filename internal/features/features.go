@@ -12,14 +12,17 @@
 //	    were not running, normalized by the cluster's current VF level,
 //	    and the per-core utilizations.
 //
-// The same code builds the vector at design time (from oracle traces, via a
-// Snapshot assembled by the oracle) and at run time (from the live Env), so
-// the model sees identical distributions in both.
+// Assemble (and its buffer-reusing form AssembleInto) is the one
+// definition of feature order and scaling. The design-time oracle calls
+// Assemble directly with the swept VF levels of its traces. At run time
+// the daemon captures a Snapshot of the live Env (FromEnvInto) and Batch
+// derives the Eq. (1)/(2) background aggregates for every running
+// application before handing each row to AssembleInto, so the model sees
+// the same layout and scaling in both.
 package features
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -64,27 +67,11 @@ type Snapshot struct {
 }
 
 // FromEnv captures a Snapshot from the live simulation environment — the
-// run-time path of the paper's daemon (perf API + /proc + cpufreq).
+// run-time path of the paper's daemon (perf API + /proc + cpufreq). It is
+// FromEnvInto into a fresh Snapshot.
 func FromEnv(env *sim.Env) Snapshot {
-	plat := env.Platform()
-	s := Snapshot{NumCores: plat.NumCores()}
-	for ci, c := range plat.Clusters {
-		freqs := make([]float64, c.NumOPPs())
-		for i := range freqs {
-			freqs[i] = c.FreqAt(i)
-		}
-		s.Clusters = append(s.Clusters, ClusterState{Freqs: freqs, Freq: env.ClusterFreq(ci)})
-	}
-	for _, a := range env.Apps() {
-		s.Apps = append(s.Apps, AppState{
-			ID:      a.ID,
-			Core:    int(a.Core),
-			Cluster: plat.ClusterIndexOf(a.Core),
-			IPS:     a.IPS,
-			L2DPS:   a.L2DPS,
-			QoS:     a.QoS,
-		})
-	}
+	var s Snapshot
+	FromEnvInto(&s, env, nil)
 	return s
 }
 
@@ -96,7 +83,7 @@ func Dim(numCores, numClusters int) int {
 }
 
 // UtilOffset returns the index of the first core-utilization feature within
-// a vector built by Assemble/Vector.
+// a vector built by Assemble.
 func UtilOffset(numCores, numClusters int) int {
 	return 3 + numCores + numClusters
 }
@@ -127,60 +114,6 @@ func EstimateMinFreq(freqs []float64, fCur, q, target float64) (float64, bool) {
 	return freqs[len(freqs)-1], false
 }
 
-// RequiredFreqWithout implements Eq. (2): the estimated VF level cluster
-// `cluster` must hold to keep all background applications (everything
-// except aoiID) at their QoS targets. With no background on the cluster it
-// returns the lowest frequency.
-func RequiredFreqWithout(s Snapshot, cluster int, aoiID sim.AppID) float64 {
-	cs := s.Clusters[cluster]
-	req := cs.Freqs[0]
-	for _, a := range s.Apps {
-		if a.ID == aoiID || a.Cluster != cluster {
-			continue
-		}
-		f, _ := EstimateMinFreq(cs.Freqs, cs.Freq, a.IPS, a.QoS)
-		if f > req {
-			req = f
-		}
-	}
-	return req
-}
-
-// Vector builds the feature vector for the AoI at index aoi in s.Apps.
-// It panics on an out-of-range index. Hot paths that cannot afford the
-// allocation use VectorInto with a reused buffer.
-func Vector(s Snapshot, aoi int) []float64 {
-	dst := make([]float64, Dim(s.NumCores, len(s.Clusters)))
-	VectorInto(dst, s, aoi)
-	return dst
-}
-
-// VectorInto builds the feature vector for the AoI at index aoi in s.Apps
-// into dst, which must have length Dim(s.NumCores, len(s.Clusters)). The
-// per-cluster ratio and per-core utilization scratch live inside dst
-// itself (the layout reserves their segments), so the call performs no
-// heap allocation — this is the once-per-app-per-epoch runtime path of
-// the paper's daemon. It panics on an out-of-range index or a buffer of
-// the wrong length.
-//
-//hot:per-epoch-inference-path
-func VectorInto(dst []float64, s Snapshot, aoi int) {
-	if aoi < 0 || aoi >= len(s.Apps) {
-		panicAoIRange(aoi, len(s.Apps))
-	}
-	if len(dst) != Dim(s.NumCores, len(s.Clusters)) {
-		panicMsg("features: feature buffer length mismatch")
-	}
-	a := s.Apps[aoi]
-	ratios := dst[3+s.NumCores : 3+s.NumCores+len(s.Clusters)]
-	for ci, cs := range s.Clusters {
-		ratios[ci] = RequiredFreqWithout(s, ci, a.ID) / cs.Freq
-	}
-	utils := dst[UtilOffset(s.NumCores, len(s.Clusters)):]
-	BackgroundOccupancyInto(utils, s, a.ID)
-	AssembleInto(dst, a.IPS, a.L2DPS, a.Core, s.NumCores, a.QoS, ratios, utils)
-}
-
 // panicMsg keeps panic's interface conversion out of the //hot callers:
 // even a constant message counts against the zero-allocation gate. It
 // always panics with msg.
@@ -199,7 +132,7 @@ func panicAoIRange(aoi, n int) {
 // Assemble builds the raw feature vector from its components: ips and the
 // QoS target in instr/s, l2dps in accesses per second, freqRatios
 // dimensionless (required/current per cluster). It is the single place
-// defining feature order and scaling, shared by the run-time path (Vector)
+// defining feature order and scaling, shared by the run-time path (Batch)
 // and the design-time oracle, so both produce identical distributions.
 // It panics on an out-of-range AoI core or a utilization vector whose
 // length differs from numCores.
@@ -213,7 +146,7 @@ func Assemble(ips, l2dps float64, aoiCore, numCores int, qosTarget float64,
 // AssembleInto is Assemble writing into a caller-owned buffer of length
 // Dim(numCores, len(freqRatios)); it performs no heap allocation. The
 // freqRatios and utils arguments may alias their own segments of dst
-// (VectorInto relies on this to stay scratch-free).
+// (Batch.VectorInto relies on this to stay scratch-free).
 //
 //hot:per-epoch-inference-path
 func AssembleInto(dst []float64, ips, l2dps float64, aoiCore, numCores int,
@@ -250,78 +183,4 @@ func AssembleInto(dst []float64, ips, l2dps float64, aoiCore, numCores int,
 //go:noinline
 func panicCoreRange(core, n int) {
 	panic(fmt.Sprintf("features: AoI core %d out of range [0,%d)", core, n))
-}
-
-// Describe renders a feature vector as a human-readable multi-line string
-// for debugging tools and logs. numCores/numClusters define the layout
-// (they must match the vector's Dim).
-func Describe(v []float64, numCores, numClusters int) string {
-	if len(v) != Dim(numCores, numClusters) {
-		return fmt.Sprintf("features: vector of %d values does not match %d cores / %d clusters",
-			len(v), numCores, numClusters)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "AoI QoS (current):  %.3f GIPS\n", v[0])
-	fmt.Fprintf(&b, "AoI L2D accesses:   %.3f (×1e8/s)\n", v[1])
-	core := -1
-	for c := 0; c < numCores; c++ {
-		if v[2+c] == 1 {
-			core = c
-		}
-	}
-	fmt.Fprintf(&b, "AoI current core:   %d\n", core)
-	fmt.Fprintf(&b, "AoI QoS target:     %.3f GIPS\n", v[2+numCores])
-	for ci := 0; ci < numClusters; ci++ {
-		fmt.Fprintf(&b, "f̃(cluster %d)/f:     %.3f\n", ci, v[3+numCores+ci])
-	}
-	b.WriteString("background cores:   ")
-	off := UtilOffset(numCores, numClusters)
-	for c := 0; c < numCores; c++ {
-		if v[off+c] != 0 {
-			fmt.Fprintf(&b, "%d ", c)
-		}
-	}
-	b.WriteString("\n")
-	return b.String()
-}
-
-// BackgroundOccupancy returns the per-core utilization features: 1 if the
-// core hosts any application other than aoiID, else 0.
-func BackgroundOccupancy(s Snapshot, aoiID sim.AppID) []float64 {
-	util := make([]float64, s.NumCores)
-	BackgroundOccupancyInto(util, s, aoiID)
-	return util
-}
-
-// BackgroundOccupancyInto fills dst (length s.NumCores) with the per-core
-// utilization features without allocating. It panics on a length mismatch.
-//
-//hot:per-epoch-inference-path
-func BackgroundOccupancyInto(dst []float64, s Snapshot, aoiID sim.AppID) {
-	if len(dst) != s.NumCores {
-		panicMsg("features: utilization buffer length mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, b := range s.Apps {
-		if b.ID != aoiID {
-			dst[b.Core] = 1
-		}
-	}
-}
-
-// Vectors builds the feature matrix with one row per running application —
-// the batch the daemon sends to the NPU (each application as the AoI once).
-// It shares the Eq. (1)/(2) aggregates across rows via Batch, so the matrix
-// costs O(n·(cores+clusters)) instead of O(n²·clusters).
-func Vectors(s Snapshot) [][]float64 {
-	var b Batch
-	b.Reset(s)
-	out := make([][]float64, len(s.Apps))
-	for i := range out {
-		out[i] = make([]float64, Dim(s.NumCores, len(s.Clusters)))
-		b.VectorInto(out[i], i)
-	}
-	return out
 }

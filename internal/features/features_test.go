@@ -2,7 +2,6 @@ package features
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -26,6 +25,16 @@ func snap() Snapshot {
 	}
 }
 
+// row builds the feature vector for the AoI at index aoi in s.Apps
+// through the run-time path, Batch.
+func row(s Snapshot, aoi int) []float64 {
+	var b Batch
+	b.Reset(s)
+	v := make([]float64, Dim(s.NumCores, len(s.Clusters)))
+	b.VectorInto(v, aoi)
+	return v
+}
+
 func TestDimMatchesPaper(t *testing.T) {
 	if got := Dim(8, 2); got != 21 {
 		t.Fatalf("Dim(8,2) = %d, want 21 (Table 2)", got)
@@ -34,7 +43,7 @@ func TestDimMatchesPaper(t *testing.T) {
 
 func TestVectorLayout(t *testing.T) {
 	s := snap()
-	v := Vector(s, 0)
+	v := row(s, 0)
 	if len(v) != 21 {
 		t.Fatalf("feature vector length = %d, want 21", len(v))
 	}
@@ -70,7 +79,7 @@ func TestVectorLayout(t *testing.T) {
 
 func TestBackgroundOccupancyExcludesAoI(t *testing.T) {
 	s := snap()
-	u := BackgroundOccupancy(s, 1) // AoI = app on core 6
+	u := row(s, 1)[UtilOffset(8, 2):] // AoI = app on core 6
 	want := []float64{0, 0, 0, 1, 0, 1, 0, 0}
 	for c := range want {
 		if u[c] != want[c] {
@@ -113,24 +122,24 @@ func TestRequiredFreqWithout(t *testing.T) {
 	// Cluster 1 (big, at 1210 MHz) hosts apps 1 (1.2 GIPS, target 1.0)
 	// and 2 (0.9 GIPS, target 0.8). Without app 1, only app 2 remains:
 	// linear scaling: needs f ≥ 1210·0.8/0.9 = 1076 → level 1210 MHz.
-	got := RequiredFreqWithout(s, 1, 1)
+	got := refRequiredFreqWithout(s, 1, 1)
 	if got != 1210e6 {
 		t.Errorf("required freq without AoI = %g, want 1210 MHz", got)
 	}
 	// Without app 0, cluster 0 has no other apps: lowest level.
-	if got := RequiredFreqWithout(s, 0, 0); got != 509e6 {
+	if got := refRequiredFreqWithout(s, 0, 0); got != 509e6 {
 		t.Errorf("empty cluster requirement = %g, want 509 MHz", got)
 	}
 	// For an AoI on the other cluster, both background apps count:
 	// app 1 needs 1210·1.0/1.2 = 1008 → 1210.
-	if got := RequiredFreqWithout(s, 1, 0); got != 1210e6 {
+	if got := refRequiredFreqWithout(s, 1, 0); got != 1210e6 {
 		t.Errorf("cross-cluster requirement = %g", got)
 	}
 }
 
 func TestFreqRatioFeatures(t *testing.T) {
 	s := snap()
-	v := Vector(s, 1) // AoI = app 1 on big
+	v := row(s, 1) // AoI = app 1 on big
 	// LITTLE requirement without AoI: app 0 needs 1402·0.35/0.4 = 1227 →
 	// 1402; ratio to current 1402 = 1.
 	if math.Abs(v[11]-1.0) > 1e-9 {
@@ -143,21 +152,23 @@ func TestFreqRatioFeatures(t *testing.T) {
 	// Remove app 2; now big requirement without app 1 is the min level.
 	s2 := snap()
 	s2.Apps = s2.Apps[:2]
-	v2 := Vector(s2, 1)
+	v2 := row(s2, 1)
 	if want := 682e6 / 1210e6; math.Abs(v2[12]-want) > 1e-9 {
 		t.Errorf("big ratio with empty background = %g, want %g", v2[12], want)
 	}
 }
 
 func TestVectorsOnePerApp(t *testing.T) {
-	s := snap()
-	vs := Vectors(s)
-	if len(vs) != 3 {
-		t.Fatalf("rows = %d, want 3", len(vs))
+	var b Batch
+	b.Reset(snap())
+	if b.Len() != 3 {
+		t.Fatalf("rows = %d, want 3", b.Len())
 	}
 	// Each row's one-hot must point at that app's core.
 	cores := []int{3, 6, 5}
-	for i, v := range vs {
+	for i := range cores {
+		v := make([]float64, Dim(8, 2))
+		b.VectorInto(v, i)
 		for c := 0; c < 8; c++ {
 			want := 0.0
 			if c == cores[i] {
@@ -181,9 +192,13 @@ func TestVectorPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad AoI", func() { Vector(s, 9) })
-	mustPanic("negative AoI", func() { Vector(s, -1) })
+	mustPanic("bad AoI", func() { row(s, 9) })
+	mustPanic("negative AoI", func() { row(s, -1) })
 	mustPanic("empty freqs", func() { EstimateMinFreq(nil, 1e9, 1e9, 1e9) })
+	ratios, utils := []float64{1, 1}, make([]float64, 8)
+	mustPanic("bad AoI core", func() { Assemble(1, 1, 8, 8, 1, ratios, utils) })
+	mustPanic("short utils", func() { Assemble(1, 1, 0, 8, 1, ratios, utils[:7]) })
+	mustPanic("short buffer", func() { AssembleInto(make([]float64, 20), 1, 1, 0, 8, 1, ratios, utils) })
 }
 
 func TestFromEnvMatchesLiveState(t *testing.T) {
@@ -208,7 +223,7 @@ func TestFromEnvMatchesLiveState(t *testing.T) {
 	if s.Clusters[0].Freq != 1844e6 || s.Clusters[1].Freq != 2362e6 {
 		t.Errorf("snapshot freqs: %g, %g", s.Clusters[0].Freq, s.Clusters[1].Freq)
 	}
-	v := Vector(s, 0)
+	v := row(s, 0)
 	if len(v) != 21 {
 		t.Errorf("live feature vector length = %d", len(v))
 	}
@@ -225,18 +240,4 @@ func (m *freqPin) Attach(env *sim.Env) { m.env = env }
 func (m *freqPin) Tick(now float64) {
 	m.env.SetClusterFreqIndex(0, m.little)
 	m.env.SetClusterFreqIndex(1, m.big)
-}
-
-func TestDescribe(t *testing.T) {
-	s := snap()
-	v := Vector(s, 0)
-	out := Describe(v, 8, 2)
-	for _, want := range []string{"current core:   3", "QoS target:     0.350", "background cores:   5 6"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Describe missing %q in:\n%s", want, out)
-		}
-	}
-	if out := Describe(v[:5], 8, 2); !strings.Contains(out, "does not match") {
-		t.Error("Describe accepted wrong-length vector")
-	}
 }

@@ -172,7 +172,7 @@ func checkStep(t *testing.T, name string, m *MLP, d Dataset, idx []int) {
 			t.Fatalf("%s: gb[%d]%s", name, l, s)
 		}
 	}
-	if l1, l2 := m.Loss(d), m.refLoss(d); !sameBits(l1, l2) {
+	if l1, l2 := m.loss(d), m.refLoss(d); !sameBits(l1, l2) {
 		t.Fatalf("%s: Loss %v, want %v", name, l1, l2)
 	}
 }

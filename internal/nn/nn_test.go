@@ -8,6 +8,19 @@ import (
 	"testing/quick"
 )
 
+// loss returns the mean MSE of the model over the dataset. It panics if an
+// input's dimension does not match the network's input layer. It runs the
+// training workspace's loss, the one early stopping reads.
+func (m *MLP) loss(d Dataset) float64 {
+	if d.Len() == 0 {
+		return 0
+	}
+	for _, x := range d.X {
+		m.checkInput(x)
+	}
+	return newWorkspace(m.sizes, min(d.Len(), TrainConfig{}.defaults().BatchSize)).loss(m, d)
+}
+
 func TestNewMLPShapes(t *testing.T) {
 	m := NewMLP([]int{21, 64, 64, 8}, 1)
 	if m.InputDim() != 21 || m.OutputDim() != 8 {
@@ -121,12 +134,12 @@ func TestTrainingLearns(t *testing.T) {
 	full := synthDataset(800, 1)
 	train, val := full.Split(0.2, 2)
 	m := NewMLP([]int{3, 32, 32, 2}, 3)
-	before := m.Loss(val)
+	before := m.loss(val)
 	res, err := m.Train(train, val, TrainConfig{MaxEpochs: 60, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := m.Loss(val)
+	after := m.loss(val)
 	if after >= before/4 {
 		t.Errorf("training barely improved: %g -> %g", before, after)
 	}
@@ -146,7 +159,7 @@ func TestEarlyStoppingRestoresBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Loss(val)
+	got := m.loss(val)
 	if math.Abs(got-res.BestValLoss) > 1e-9 {
 		t.Errorf("model loss %g does not match best val loss %g (restore failed)",
 			got, res.BestValLoss)
@@ -353,12 +366,12 @@ func TestGradClipStillLearns(t *testing.T) {
 	full := synthDataset(300, 25)
 	train, val := full.Split(0.2, 26)
 	m := NewMLP([]int{3, 16, 2}, 27)
-	before := m.Loss(val)
+	before := m.loss(val)
 	if _, err := m.Train(train, val, TrainConfig{
 		MaxEpochs: 40, Seed: 28, GradClip: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if after := m.Loss(val); after >= before/2 {
+	if after := m.loss(val); after >= before/2 {
 		t.Errorf("clipped training barely improved: %g -> %g", before, after)
 	}
 }

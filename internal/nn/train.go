@@ -248,18 +248,6 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 	return res, nil
 }
 
-// Loss returns the mean MSE of the model over the dataset. It panics if an
-// input's dimension does not match the network's input layer.
-func (m *MLP) Loss(d Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	for _, x := range d.X {
-		m.checkInput(x)
-	}
-	return newWorkspace(m.sizes, min(d.Len(), TrainConfig{}.defaults().BatchSize)).loss(m, d)
-}
-
 // clipGradients rescales all gradients so their global L2 norm is at most
 // maxNorm.
 func clipGradients(gw, gb [][]float64, maxNorm float64) {

@@ -1,4 +1,7 @@
-package npu
+package npu_test
+
+// The backend contract checks live in testkit, which imports npu, so
+// these tests sit in the external test package.
 
 import (
 	"math/rand"
@@ -6,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/npu"
+	"repro/internal/testkit"
 )
 
 // probeInputs builds deterministic probe vectors for a model.
@@ -26,8 +31,8 @@ func probeInputs(dim, n int, seed int64) [][]float64 {
 func TestBackendConformance(t *testing.T) {
 	m := nn.NewMLP([]int{21, 32, 8}, 3)
 	probes := probeInputs(21, 6, 4)
-	for _, b := range []Backend{New(m), NewCPU(m)} {
-		if err := Conformance(b, m, probes); err != nil {
+	for _, b := range []npu.Backend{npu.New(m), npu.NewCPU(m)} {
+		if err := testkit.Conformance(b, m, probes); err != nil {
 			t.Errorf("Conformance(%s): %v", b.Name(), err)
 		}
 	}
@@ -38,7 +43,7 @@ func TestBackendConformance(t *testing.T) {
 func TestConformanceRejectsWrongModel(t *testing.T) {
 	m := nn.NewMLP([]int{4, 8, 2}, 5)
 	other := nn.NewMLP([]int{4, 8, 2}, 6)
-	if err := Conformance(New(other), m, probeInputs(4, 3, 7)); err == nil {
+	if err := testkit.Conformance(npu.New(other), m, probeInputs(4, 3, 7)); err == nil {
 		t.Fatal("Conformance accepted a backend running a different model")
 	}
 }
@@ -48,7 +53,7 @@ func TestConformanceRejectsWrongModel(t *testing.T) {
 // frontend — and verifies outputs and latency agreement. Run with -race.
 func TestConcurrentInferAsync(t *testing.T) {
 	m := nn.NewMLP([]int{21, 64, 8}, 8)
-	dev := New(m)
+	dev := npu.New(m)
 	probes := probeInputs(21, 16, 9)
 	want := m.PredictBatch(probes)
 
@@ -93,5 +98,37 @@ func TestConcurrentInferAsync(t *testing.T) {
 	close(errCh)
 	if msg, ok := <-errCh; ok {
 		t.Fatal(msg)
+	}
+}
+
+func TestQuantizedModelWithinHysteresis(t *testing.T) {
+	// The acceptance check of the paper's NPU deployment: FP16
+	// quantization must not move ratings by anywhere near the run-time
+	// hysteresis (0.2), so decisions are unchanged.
+	m := nn.NewMLP(nn.PaperTopology(21, 8), 5)
+	rng := rand.New(rand.NewSource(7))
+	probes := make([][]float64, 64)
+	for i := range probes {
+		probes[i] = make([]float64, 21)
+		for j := range probes[i] {
+			probes[i][j] = rng.Float64() * 2
+		}
+	}
+	maxDiff, err := testkit.ValidateQuantized(m, probes, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxDiff == 0 {
+		t.Error("quantization changed nothing at all — emulation suspicious")
+	}
+	t.Logf("max FP16 output deviation: %g", maxDiff)
+}
+
+func TestValidateQuantizedDetectsViolations(t *testing.T) {
+	m := nn.NewMLP(nn.PaperTopology(21, 8), 5)
+	probes := [][]float64{make([]float64, 21)}
+	probes[0][0] = 1
+	if _, err := testkit.ValidateQuantized(m, probes, 0); err == nil {
+		t.Error("zero tolerance accepted despite nonzero quantization error")
 	}
 }

@@ -1,7 +1,6 @@
 package npu
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/nn"
@@ -10,11 +9,11 @@ import (
 // The Kirin 970's NPU executes FP16. Deploying the migration model on it
 // therefore rounds every weight and activation to half precision. This file
 // emulates that quantization so the deployment can be validated offline:
-// QuantizeFP16 produces the model the accelerator would effectively run,
-// and ValidateQuantized bounds the rating error it introduces. For the
-// paper's 21-input MLP with labels in [-1, 1], FP16's ~3 decimal digits are
-// far below the run-time hysteresis, so quantization never changes a
-// migration decision — the property the acceptance check asserts.
+// QuantizeFP16 produces the model the accelerator would effectively run.
+// For the paper's 21-input MLP with labels in [-1, 1], FP16's ~3 decimal
+// digits are far below the run-time hysteresis, so quantization never
+// changes a migration decision — the property the tests' acceptance check
+// (testkit.ValidateQuantized) asserts.
 
 // RoundFP16 rounds a float64 to the nearest IEEE 754 half-precision value
 // (ties to even), returned as float64. Values beyond the FP16 range clamp
@@ -99,26 +98,4 @@ func QuantizeFP16(m *nn.MLP) *nn.MLP {
 	q := m.Clone()
 	q.MapParams(RoundFP16)
 	return q
-}
-
-// ValidateQuantized compares the FP16-quantized model against the FP32 host
-// model on the probe inputs and returns the maximum absolute output
-// difference. It errors if the difference exceeds tol — chosen below the
-// migration hysteresis, so quantization cannot flip a decision.
-func ValidateQuantized(m *nn.MLP, probes [][]float64, tol float64) (maxDiff float64, err error) {
-	q := QuantizeFP16(m)
-	for i, x := range probes {
-		a, b := m.Predict(x), q.Predict(x)
-		for o := range a {
-			d := math.Abs(a[o] - b[o])
-			if d > maxDiff {
-				maxDiff = d
-			}
-			if d > tol {
-				return maxDiff, fmt.Errorf(
-					"npu: probe %d output %d: fp16 deviation %g exceeds %g", i, o, d, tol)
-			}
-		}
-	}
-	return maxDiff, nil
 }

@@ -82,38 +82,6 @@ func TestRoundFP16RelativeErrorBound(t *testing.T) {
 	}
 }
 
-func TestQuantizedModelWithinHysteresis(t *testing.T) {
-	// The acceptance check of the paper's NPU deployment: FP16
-	// quantization must not move ratings by anywhere near the run-time
-	// hysteresis (0.2), so decisions are unchanged.
-	m := nn.NewMLP(nn.PaperTopology(21, 8), 5)
-	rng := rand.New(rand.NewSource(7))
-	probes := make([][]float64, 64)
-	for i := range probes {
-		probes[i] = make([]float64, 21)
-		for j := range probes[i] {
-			probes[i][j] = rng.Float64() * 2
-		}
-	}
-	maxDiff, err := ValidateQuantized(m, probes, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxDiff == 0 {
-		t.Error("quantization changed nothing at all — emulation suspicious")
-	}
-	t.Logf("max FP16 output deviation: %g", maxDiff)
-}
-
-func TestValidateQuantizedDetectsViolations(t *testing.T) {
-	m := nn.NewMLP(nn.PaperTopology(21, 8), 5)
-	probes := [][]float64{make([]float64, 21)}
-	probes[0][0] = 1
-	if _, err := ValidateQuantized(m, probes, 0); err == nil {
-		t.Error("zero tolerance accepted despite nonzero quantization error")
-	}
-}
-
 func TestQuantizeFP16LeavesOriginal(t *testing.T) {
 	m := nn.NewMLP([]int{4, 8, 2}, 1)
 	x := []float64{0.3, -0.7, 1.1, 0.05}

@@ -193,8 +193,8 @@ func ByName(name string, model *nn.MLP) (b Backend, ok bool) {
 	return nil, false
 }
 
-// Validate checks that a backend produces outputs identical to the host
-// model for the given probe inputs — the acceptance test the paper's
+// Validate checks that a backend's outputs match the host model's within
+// 1e-9 for the given probe inputs — the acceptance test the paper's
 // deployment would run against the HiAI-converted model.
 func Validate(b Backend, model *nn.MLP, probes [][]float64) error {
 	got := b.Infer(probes)

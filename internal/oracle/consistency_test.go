@@ -63,7 +63,10 @@ func TestTrainRuntimeFeatureConsistency(t *testing.T) {
 	e.AddJob(workload.Job{Spec: aoi, QoS: target})
 	e.Run(mgr, cfg.MeasureSec)
 
-	s := features.FromEnv(e.Env())
+	// The run-time path TOP-IL runs each epoch: capture, then one Batch
+	// row per application.
+	var s features.Snapshot
+	features.FromEnvInto(&s, e.Env(), nil)
 	aoiIdx := -1
 	for i, a := range s.Apps {
 		if a.Core == 3 {
@@ -73,7 +76,10 @@ func TestTrainRuntimeFeatureConsistency(t *testing.T) {
 	if aoiIdx < 0 {
 		t.Fatal("AoI not found in live state")
 	}
-	liveVec := features.Vector(s, aoiIdx)
+	var b features.Batch
+	b.Reset(s)
+	liveVec := make([]float64, features.Dim(s.NumCores, len(s.Clusters)))
+	b.VectorInto(liveVec, aoiIdx)
 
 	if len(liveVec) != len(oracleVec) {
 		t.Fatalf("dims %d vs %d", len(liveVec), len(oracleVec))

@@ -47,26 +47,6 @@ func (d *Dataset) ToNN() nn.Dataset {
 	return out
 }
 
-// SplitByAoI partitions examples by benchmark: examples whose AoI is in
-// testNames go to test, everything else to train — the paper's
-// leave-benchmarks-out model evaluation.
-func (d *Dataset) SplitByAoI(testNames []string) (train, test *Dataset) {
-	isTest := map[string]bool{}
-	for _, n := range testNames {
-		isTest[n] = true
-	}
-	train = &Dataset{NumCores: d.NumCores}
-	test = &Dataset{NumCores: d.NumCores}
-	for _, e := range d.Examples {
-		if isTest[e.AoIName] {
-			test.Examples = append(test.Examples, e)
-		} else {
-			train.Examples = append(train.Examples, e)
-		}
-	}
-	return train, test
-}
-
 // Stats summarizes a dataset's label distribution — the quantities that
 // determine whether a model can learn per-cluster feasibility and
 // near-optimality from it.

@@ -7,6 +7,17 @@ import (
 	"repro/internal/platform"
 )
 
+// traceMaxIPS returns the highest AoI IPS anywhere in ts, simulating
+// every point not read yet.
+func traceMaxIPS(t *testing.T, ts *TraceSet) float64 {
+	t.Helper()
+	points, err := ts.fill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return maxAoIIPS(points)
+}
+
 // TestLabelVisitedMatchesSweep pins the DAgger-query labeling to the
 // dataset sweep's: for selections the sweep emits, LabelVisited must
 // reproduce the exact label vector (it is the same implementation, but
@@ -15,7 +26,7 @@ func TestLabelVisitedMatchesSweep(t *testing.T) {
 	ts := collect(t, "adi")
 	cfg := quickCfg()
 	plat := platform.HiKey970()
-	maxIPS := ts.MaxAoIIPS()
+	maxIPS := traceMaxIPS(t, ts)
 	if maxIPS <= 0 {
 		t.Fatal("no AoI progress in traces")
 	}
@@ -61,7 +72,7 @@ func TestLabelVisitedMatchesSweep(t *testing.T) {
 func TestLabelVisitedProperties(t *testing.T) {
 	ts := collect(t, "adi")
 	cfg := quickCfg()
-	q := 0.3 * ts.MaxAoIIPS()
+	q := 0.3 * traceMaxIPS(t, ts)
 	vl, ok, err := LabelVisited(ts, cfg, q, 0, 0)
 	if err != nil || !ok {
 		t.Fatalf("LabelVisited: ok=%v err=%v", ok, err)

@@ -49,7 +49,7 @@ func TestOnDemandLabelsMatchCollected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxIPS := full.MaxAoIIPS()
+		maxIPS := traceMaxIPS(t, full)
 		for f := 11; f >= 1; f-- {
 			q := float64(f) / 10 * maxIPS
 			for li := range full.Grid {
@@ -88,7 +88,7 @@ func TestOnDemandQueryReadsOneColumnPerCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxIPS := full.MaxAoIIPS()
+		maxIPS := traceMaxIPS(t, full)
 		n := len(full.Grid)
 		for _, frac := range []float64{0.1, 0.6, 1.1} {
 			for li := 0; li < n; li++ {

@@ -250,10 +250,6 @@ func TestDatasetSplitAndRoundTrip(t *testing.T) {
 	if len(names) != 2 || names[0] != "adi" || names[1] != "seidel-2d" {
 		t.Fatalf("AoINames = %v", names)
 	}
-	train, test := d.SplitByAoI([]string{"seidel-2d"})
-	if train.Len() != len(exs) || test.Len() != len(exs2) {
-		t.Fatalf("split sizes %d/%d, want %d/%d", train.Len(), test.Len(), len(exs), len(exs2))
-	}
 
 	path := filepath.Join(t.TempDir(), "dataset.json.gz")
 	if err := d.Save(path); err != nil {

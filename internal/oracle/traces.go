@@ -270,18 +270,8 @@ func (ts *TraceSet) fill() (map[traceKey]TracePoint, error) {
 	return ts.points, nil
 }
 
-// MaxAoIIPS returns the highest AoI IPS anywhere in the traces — the
-// reference for sweeping QoS-target fractions. It first simulates every
-// point not read yet; if a simulation fails it returns 0, as for a set
-// without AoI progress (ExtractExamples reports the error itself).
-func (ts *TraceSet) MaxAoIIPS() float64 {
-	points, err := ts.fill()
-	if err != nil {
-		return 0
-	}
-	return maxAoIIPS(points)
-}
-
+// maxAoIIPS returns the highest AoI IPS among the points — the reference
+// for sweeping QoS-target fractions.
 func maxAoIIPS(points map[traceKey]TracePoint) float64 {
 	m := 0.0
 	for _, p := range points {

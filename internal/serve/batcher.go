@@ -349,10 +349,10 @@ func (b *Batcher) dispatch(batch []batchReq, rows int) {
 		be, ver := b.src.Acquire()
 		if be == nil {
 			err := fmt.Errorf("%w: no active model version", ErrNotFound)
+			b.stats.inferErrors.Add(float64(rows))
 			for _, r := range batch {
 				r.out <- batchResp{err: err, batchSize: rows}
 			}
-			b.stats.inferErrors.Add(float64(rows))
 			return
 		}
 		ins := make([][]float64, 0, rows)
@@ -366,7 +366,7 @@ func (b *Batcher) dispatch(batch []batchReq, rows int) {
 		} else {
 			b.stats.batchPanics.Inc()
 		}
-		failedRows, off := 0, 0
+		off := 0
 		for _, r := range batch {
 			n := len(r.rows)
 			resp := batchResp{batchSize: rows, version: ver, err: err}
@@ -383,12 +383,13 @@ func (b *Batcher) dispatch(batch []batchReq, rows int) {
 				// reallocates instead of overwriting its neighbour's.
 				resp.outs, resp.device = outs[off:off+n:off+n], dev
 			} else {
-				failedRows += n
+				// Counted before delivery: a caller holding the error
+				// already finds its rows in the counter.
+				b.stats.inferErrors.Add(float64(n))
 			}
 			r.out <- resp
 			off += n
 		}
-		b.stats.inferErrors.Add(float64(failedRows))
 		b.mirrorShadow(ver, ins, outs, err)
 	}()
 }

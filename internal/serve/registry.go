@@ -73,15 +73,6 @@ type Artifact struct {
 // Name implements npu.Backend; the version is part of the identity.
 func (a *Artifact) Name() string { return fmt.Sprintf("serve/%s@v%d", a.name, a.version) }
 
-// Version returns the artifact's chain version (monotonic, from 1).
-func (a *Artifact) Version() int { return a.version }
-
-// Source returns the provenance string recorded at publish time.
-func (a *Artifact) Source() string { return a.source }
-
-// Model returns the underlying read-only network.
-func (a *Artifact) Model() *nn.MLP { return a.model }
-
 // Infer implements npu.Backend.
 func (a *Artifact) Infer(batch [][]float64) [][]float64 { return a.dev.Infer(batch) }
 
@@ -257,12 +248,6 @@ func (r *Registry) Swap(name string, version int) (prev int, err error) {
 	return prev, nil
 }
 
-// Rollback re-activates a retained prior version. It is Swap with intent:
-// the online manager calls it when post-promotion telemetry regresses.
-func (r *Registry) Rollback(name string, version int) (prev int, err error) {
-	return r.Swap(name, version)
-}
-
 // SetShadow mirrors live traffic onto the given retained version: batches
 // are re-run against it after the active results are delivered, but its
 // predictions are never served. Swapping the shadowed version to active
@@ -297,35 +282,6 @@ func (r *Registry) ActiveVersion(name string) (int, error) {
 		return 0, err
 	}
 	return a.version, nil
-}
-
-// VersionInfo describes one retained artifact for status surfaces.
-type VersionInfo struct {
-	Version int    `json:"version"`
-	Source  string `json:"source"`
-	Active  bool   `json:"active"`
-	Shadow  bool   `json:"shadow"`
-}
-
-// Versions lists the retained chain, ascending by version.
-func (r *Registry) Versions(name string) ([]VersionInfo, error) {
-	c, err := r.chainFor(name)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	act, sh := c.active.Load(), c.shadow.Load()
-	out := make([]VersionInfo, 0, len(c.versions))
-	for _, a := range c.versions {
-		out = append(out, VersionInfo{
-			Version: a.version,
-			Source:  a.source,
-			Active:  a == act,
-			Shadow:  a == sh,
-		})
-	}
-	return out, nil
 }
 
 // Source returns a BackendSource bound to the model's chain: each Acquire

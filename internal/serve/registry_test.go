@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/npu"
+	"repro/internal/testkit"
 )
 
 // writeModel saves a model into dir under name.json and returns it.
@@ -72,10 +72,10 @@ func TestRegistryBackendConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := src.Acquire()
-	if _, ok := b.(npu.AsyncBackend); !ok {
+	if _, ok := b.(testkit.AsyncBackend); !ok {
 		t.Fatalf("served artifact %T does not offer InferAsync", b)
 	}
-	if err := npu.Conformance(b, m, testInputs(6, 4)); err != nil {
+	if err := testkit.Conformance(b, m, testInputs(6, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Name() != "serve/model-1@v1" {

@@ -79,9 +79,9 @@ func TestRegistryPublishSwapRollback(t *testing.T) {
 		t.Fatalf("active after swap = %d, want 2", v)
 	}
 
-	// Rollback to the retained version 1.
-	if prev, err = r.Rollback("model-1", 1); err != nil || prev != 2 {
-		t.Fatalf("Rollback = (%d, %v), want (2, nil)", prev, err)
+	// Roll back to the retained version 1.
+	if prev, err = r.Swap("model-1", 1); err != nil || prev != 2 {
+		t.Fatalf("Swap back = (%d, %v), want (2, nil)", prev, err)
 	}
 	if v, _ := r.ActiveVersion("model-1"); v != 1 {
 		t.Fatalf("active after rollback = %d, want 1", v)
@@ -157,20 +157,23 @@ func TestRegistryRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs, err := r.Versions("model-1")
+	c, err := r.chainFor("model-1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.mu.Lock()
+	vs, active := append([]*Artifact(nil), c.versions...), c.active.Load()
+	c.mu.Unlock()
 	// Active v1 is kept beyond the window of 3.
 	if len(vs) != 4 {
-		t.Fatalf("retained %d versions (%v), want 4 (window 3 + active)", len(vs), vs)
+		t.Fatalf("retained %d versions, want 4 (window 3 + active)", len(vs))
 	}
-	if vs[0].Version != 1 || !vs[0].Active {
-		t.Fatalf("oldest retained %+v, want active v1", vs[0])
+	if vs[0].version != 1 || vs[0] != active {
+		t.Fatalf("oldest retained v%d (active %v), want active v1", vs[0].version, vs[0] == active)
 	}
 	for _, v := range vs[1:] {
-		if v.Version < 5 {
-			t.Fatalf("version %d survived pruning with window 3", v.Version)
+		if v.version < 5 {
+			t.Fatalf("version %d survived pruning with window 3", v.version)
 		}
 	}
 	// A pruned version is gone for good.

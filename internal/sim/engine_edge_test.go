@@ -60,7 +60,7 @@ func TestArrivalDuringOtherAppsStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(&fixedManager{little: 8, big: 8}, 1)
-	if got := env.NumRunning(); got != 2 {
+	if got := len(env.Apps()); got != 2 {
 		t.Fatalf("running apps = %d, want 2", got)
 	}
 }

@@ -58,17 +58,6 @@ func (v *Env) AppsInto(dst []AppView) []AppView {
 	return dst
 }
 
-// NumRunning returns the number of running applications.
-func (v *Env) NumRunning() int {
-	n := 0
-	for _, a := range v.engine.apps {
-		if a.arrived && !a.done {
-			n++
-		}
-	}
-	return n
-}
-
 // CoreUtil returns the busy fraction of core c over the perf window.
 func (v *Env) CoreUtil(c platform.CoreID) float64 {
 	e := v.engine

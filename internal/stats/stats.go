@@ -105,21 +105,6 @@ func NewTable(header ...string) *Table {
 // grows), missing cells render empty.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// %v unless it is a float64, which uses the given float format.
-func (t *Table) AddRowf(floatFormat string, cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf(floatFormat, v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(row...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	width := 0

@@ -166,39 +166,16 @@ func (s *Span) endLocked(at float64) {
 	t.spans = append(t.spans, *s)
 }
 
-// Instant records a zero-duration marker event (a migration, a DTM trip)
-// at the clock's current time. Nil tracers do nothing.
-func (t *Tracer) Instant(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	s := Span{tr: t, name: name, start: now, end: now}
-	if t.maxSpans > 0 && len(t.spans) >= t.maxSpans {
-		copy(t.spans, t.spans[1:])
-		t.spans = t.spans[:len(t.spans)-1]
-		t.dropped++
-	}
-	t.spans = append(t.spans, s)
-}
-
-// InstantAt records a marker event at an explicit timestamp (seconds).
-// Nil tracers do nothing.
+// InstantAt records a zero-duration marker event (a migration, a DTM
+// trip) at an explicit timestamp (seconds). Nil tracers do nothing.
 func (t *Tracer) InstantAt(name string, at float64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := Span{tr: t, name: name, start: at, end: at}
-	if t.maxSpans > 0 && len(t.spans) >= t.maxSpans {
-		copy(t.spans, t.spans[1:])
-		t.spans = t.spans[:len(t.spans)-1]
-		t.dropped++
-	}
-	t.spans = append(t.spans, s)
+	s := Span{tr: t, name: name, start: at}
+	s.endLocked(at)
 }
 
 // SpanRecord is a finished span as returned by Spans.

@@ -17,7 +17,7 @@ func TestTracerSpansAndInstants(t *testing.T) {
 	tr := NewTracer(clk)
 	s := tr.Start("run")
 	clk.t = 1.5
-	tr.Instant("migrate")
+	tr.InstantAt("migrate", clk.Now())
 	clk.t = 2.0
 	s.End()
 	s.End() // double close: no-op
@@ -85,7 +85,6 @@ func TestNilTracerNoOp(t *testing.T) {
 	s.End()
 	s.EndAt(1)
 	tr.StartAt("y", 0).End()
-	tr.Instant("z")
 	tr.InstantAt("w", 1)
 	tr.SetClock(&simClock{})
 	tr.SetMaxSpans(1)

@@ -356,6 +356,19 @@ func qosMonotoneVF() Check {
 	}
 }
 
+// featureRows builds the feature matrix the daemon sends to the NPU: one
+// row per running application, each application as the AoI once.
+func featureRows(s features.Snapshot) [][]float64 {
+	var b features.Batch
+	b.Reset(s)
+	out := make([][]float64, b.Len())
+	for i := range out {
+		out[i] = make([]float64, features.Dim(s.NumCores, len(s.Clusters)))
+		b.VectorInto(out[i], i)
+	}
+	return out
+}
+
 // permutationEquivariant: the migration model's feature rows depend only
 // on which applications run where, not on AoI enumeration order — so
 // permuting the AoI ordering permutes the batch rows exactly. Verified on
@@ -369,7 +382,7 @@ func permutationEquivariant() Check {
 			if len(s.Apps) < 2 {
 				return nil
 			}
-			base := features.Vectors(s)
+			base := featureRows(s)
 			// Deterministic rotation: app i takes slot (i+1) mod n.
 			perm := s
 			perm.Apps = make([]features.AppState, len(s.Apps))
@@ -377,7 +390,7 @@ func permutationEquivariant() Check {
 			for i, a := range s.Apps {
 				perm.Apps[(i+1)%n] = a
 			}
-			rot := features.Vectors(perm)
+			rot := featureRows(perm)
 			for i := range s.Apps {
 				want, got := base[i], rot[(i+1)%n]
 				if len(want) != len(got) {

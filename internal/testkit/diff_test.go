@@ -106,7 +106,7 @@ func TestFP16Differential(t *testing.T) {
 	// bound is a small multiple of FP16Tol — and must stay far below the
 	// migration hysteresis for quantization to never flip a decision.
 	outTol := core.DefaultConfig().Hysteresis / 10
-	maxDiff, err := npu.ValidateQuantized(model, probes, outTol)
+	maxDiff, err := testkit.ValidateQuantized(model, probes, outTol)
 	if err != nil {
 		t.Fatalf("fp16 deviation above tolerance: %v", err)
 	}

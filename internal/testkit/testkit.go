@@ -106,13 +106,6 @@ func (c *Chaos) record(source, kind, format string, args ...interface{}) {
 	})
 }
 
-// Events returns a copy of the injected-fault log in injection order.
-func (c *Chaos) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
-
 // EventCount returns the number of events of the given kind ("" = all).
 func (c *Chaos) EventCount(kind string) int {
 	c.mu.Lock()

@@ -14,7 +14,7 @@ package thermal
 //	c_i  = h/C_i · gAmb_i · TAmb
 //
 // G, C, TAmb and the substep h are fixed between AddCoupling /
-// SetAmbientCoupling / SetAmbient mutations, so A, B and c are
+// SetAmbientCoupling calls and TAmb writes, so A, B and c are
 // precomputed once. Power is held constant over a tick, so the k substeps
 // of one tick collapse into a single affine update
 //
@@ -57,9 +57,6 @@ func (n *Network) SetKernel(k Kernel) {
 	n.kernel = k
 	n.prop = nil
 }
-
-// ActiveKernel returns the kernel selected via SetKernel.
-func (n *Network) ActiveKernel() Kernel { return n.kernel }
 
 // propagator is the cached collapsed update for one (dt, TAmb, topology)
 // combination: T' = P·T + Q·u + r with all matrices flat row-major.

@@ -39,17 +39,17 @@ func TestSubstepCounts(t *testing.T) {
 		{10, 50},  // long dt, exact ratio
 	}
 	for _, c := range cases {
-		if got := n.Substeps(c.dt); got != c.want {
-			t.Errorf("Substeps(%g) = %d, want %d", c.dt, got, c.want)
+		if got := substepsFor(c.dt, n.stableStep()); got != c.want {
+			t.Errorf("substeps(%g) = %d, want %d", c.dt, got, c.want)
 		}
 	}
 
 	defer func() {
 		if recover() == nil {
-			t.Error("Substeps(0): expected panic")
+			t.Error("Step(dt=0): expected panic")
 		}
 	}()
-	n.Substeps(0)
+	n.Step([]float64{0, 0}, 0)
 }
 
 // TestKernelMatchesReferenceBitwise pins the numerical contract: with a
@@ -61,7 +61,7 @@ func TestKernelMatchesReferenceBitwise(t *testing.T) {
 		fast := HiKey970Network(fan, 25)
 		ref := HiKey970Network(fan, 25)
 		ref.SetKernel(KernelReference)
-		if s := fast.Substeps(0.01); s != 1 {
+		if s := substepsFor(0.01, fast.stableStep()); s != 1 {
 			t.Fatalf("fig-suite dt: %d substeps, want 1", s)
 		}
 		p := make([]float64, 9)
@@ -132,17 +132,19 @@ func TestPropagatorSteadyState(t *testing.T) {
 func TestPropagatorInvalidation(t *testing.T) {
 	p := []float64{2, 1}
 
-	// SetAmbient and a direct TAmb write must behave identically.
+	// A direct TAmb write must rebuild the cached propagator: the cached
+	// kernel then matches the uncached reference bit for bit (one substep
+	// per 0.1 s tick).
 	a, b := twoNode(), twoNode()
-	a.Step(p, 0.1) // both warm their caches at TAmb = 25
+	b.SetKernel(KernelReference)
+	a.Step(p, 0.1) // a warms its cache at TAmb = 25
 	b.Step(p, 0.1)
-	a.SetAmbient(35)
-	b.TAmb = 35 // bypasses the invalidation; Step must self-heal
+	a.TAmb, b.TAmb = 35, 35
 	a.Step(p, 0.1)
 	b.Step(p, 0.1)
 	for i := range a.t {
 		if a.t[i] != b.t[i] {
-			t.Errorf("node %d: SetAmbient %v != direct TAmb write %v", i, a.t[i], b.t[i])
+			t.Errorf("node %d: cached kernel %v != reference %v after a TAmb write", i, a.t[i], b.t[i])
 		}
 	}
 
@@ -193,7 +195,7 @@ func TestPropagatorKIsOne(t *testing.T) {
 		"tri-fan":     TriClusterNetwork(true, 25),
 		"tri-nofan":   TriClusterNetwork(false, 25),
 	} {
-		if s := n.Substeps(0.01); s != 1 {
+		if s := substepsFor(0.01, n.stableStep()); s != 1 {
 			t.Errorf("%s: %d substeps at dt=10ms, want 1", name, s)
 		}
 	}

@@ -32,10 +32,9 @@ type Node struct {
 // retained for differential gates.
 type Network struct {
 	Nodes []Node
-	// TAmb is the ambient temperature in °C. It may be set before the
-	// first Step; afterwards use SetAmbient so the cached propagator is
-	// rebuilt (Step also self-heals on a direct field write, at the cost
-	// of a rebuild).
+	// TAmb is the ambient temperature in °C. It may be written at any
+	// time; Step notices the change and rebuilds the cached propagator,
+	// whose drive vector bakes in the ambient term.
 	TAmb float64
 
 	g    [][]float64 // symmetric node-to-node conductances
@@ -97,14 +96,6 @@ func (n *Network) SetAmbientCoupling(i int, g float64) {
 	n.prop = nil
 }
 
-// SetAmbient changes the ambient temperature (°C) and invalidates the
-// cached propagator, whose drive vector bakes in the ambient term. Node
-// temperatures are left untouched.
-func (n *Network) SetAmbient(tAmbC float64) {
-	n.TAmb = tAmbC
-	n.prop = nil
-}
-
 // panicMsg keeps panic's interface conversion out of the //hot callers:
 // even a constant message counts against the zero-allocation gate. It
 // always panics with msg.
@@ -143,17 +134,6 @@ func (n *Network) stableStep() float64 {
 	}
 	n.maxStep = best
 	return best
-}
-
-// Substeps returns the number of forward-Euler substeps Step subdivides dt
-// into: ceil(dt / stableStep), where a dt that is an exact multiple of the
-// stability step uses exactly dt/stableStep substeps (no spurious extra
-// subdivision). It panics on a non-positive dt.
-func (n *Network) Substeps(dt float64) int {
-	if dt <= 0 {
-		panicMsg("thermal: non-positive dt")
-	}
-	return substepsFor(dt, n.stableStep())
 }
 
 // substepsFor is the substep-count rule shared by the kernels: the
@@ -198,19 +178,8 @@ func (n *Network) Step(power []float64, dt float64) {
 }
 
 // Temps returns a copy of the current node temperatures in °C. Hot paths
-// that cannot afford the allocation should use TempsInto with a reused
-// buffer instead.
+// that cannot afford the allocation read TempsView instead.
 func (n *Network) Temps() []float64 { return append([]float64(nil), n.t...) }
-
-// TempsInto copies the current node temperatures in °C into dst without
-// allocating. It panics on a length mismatch: callers size the buffer from
-// len(Nodes) once, so a mismatch is a programming error.
-func (n *Network) TempsInto(dst []float64) {
-	if len(dst) != len(n.t) {
-		panic("thermal: temperature buffer length mismatch")
-	}
-	copy(dst, n.t)
-}
 
 // TempsView returns the live node-temperature slice in °C without copying.
 // The slice aliases network state: callers must treat it as read-only and

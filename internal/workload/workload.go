@@ -98,9 +98,6 @@ func (s AppSpec) PhaseSpanAt(executed float64) (Phase, float64) {
 	return s.Phases[len(s.Phases)-1], executed
 }
 
-// HasPhases reports whether the application exhibits phase behaviour.
-func (s AppSpec) HasPhases() bool { return len(s.Phases) > 1 }
-
 // Validate checks internal consistency of the spec.
 func (s AppSpec) Validate() error {
 	if s.Name == "" {
