@@ -20,11 +20,11 @@
 //	GET    /v1/trace       Chrome trace-event JSON of recent request spans
 //
 // -online MODEL turns on DAgger continual learning (docs/ONLINE.md):
-// visited states from simulations and inference against MODEL are
-// recorded to a durable sample log under -online-dir, labeled by the
-// oracle every -train-interval, and retrained candidates are
-// shadow-scored on live traffic (-shadow-window, -min-agreement) before
-// an atomic hot swap with automatic rollback on telemetry regression.
+// visited states from simulations against MODEL are recorded to a
+// durable sample log under -online-dir, labeled by the oracle every
+// -train-interval, and retrained candidates are shadow-scored on live
+// traffic (-shadow-window, -min-agreement) and replayed against the
+// incumbent before an atomic hot swap.
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/ (off by
 // default: profiling endpoints can stall a loaded server and leak

@@ -107,7 +107,7 @@ func TestClusterShardsAndServes(t *testing.T) {
 	// replicas must own one — all-on-one would mean sharding is broken).
 	occupied := 0
 	for i := 0; i < 3; i++ {
-		recs, err := set.Replica(i).Store().Replay()
+		recs, err := set.Replica(i).store.Replay()
 		if err != nil {
 			t.Fatal(err)
 		}

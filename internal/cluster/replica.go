@@ -94,23 +94,8 @@ func StartReplica(cfg ReplicaConfig) (*LocalReplica, error) {
 	return r, nil
 }
 
-// Name returns the replica's ring identity.
-func (r *LocalReplica) Name() string { return r.name }
-
 // Addr returns the bound listen address.
 func (r *LocalReplica) Addr() string { return r.addr }
-
-// URL returns the replica's base URL.
-func (r *LocalReplica) URL() string { return "http://" + r.addr }
-
-// Server exposes the embedded serving layer (tests query it directly).
-func (r *LocalReplica) Server() *serve.Server { return r.srv }
-
-// Store returns the backing journal store (nil when ephemeral).
-func (r *LocalReplica) Store() *JournalStore { return r.store }
-
-// Replica returns the router-facing view.
-func (r *LocalReplica) Replica() Replica { return Replica{Name: r.name, URL: r.URL()} }
 
 // Kill models the machine dying, in the order a power loss imposes:
 // first the journal freezes (no terminal record can be written for jobs

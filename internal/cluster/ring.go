@@ -89,9 +89,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Nodes returns the node names in construction order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Lookup returns up to n distinct nodes for the key, in preference order:
 // the owner first, then the distinct successors walking clockwise. This
 // is the failover chain — the router tries Lookup(key, len(nodes)) in

@@ -276,9 +276,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Telemetry exposes the router's metric registry.
-func (rt *Router) Telemetry() *telemetry.Registry { return rt.tel }
-
 // Close stops the health poller, cancels in-flight polls and standalone
 // forwards, and releases idle connections.
 func (rt *Router) Close() {

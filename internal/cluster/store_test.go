@@ -279,7 +279,7 @@ func TestRunnerCrashRecoveryWithJournalStore(t *testing.T) {
 			if !ok {
 				t.Fatalf("job %s lost across the crash", id)
 			}
-			st := j.State()
+			st := j.Snapshot().State
 			if st == serve.StateDone || st == serve.StateFailed || st == serve.StateCanceled {
 				if strings.HasPrefix(id, "crash-q") && st != serve.StateDone {
 					t.Fatalf("job %s = %s (%s), want done", id, st, j.Snapshot().Error)

@@ -84,9 +84,9 @@ func TestClusterInferUnaffectedByHotSwap(t *testing.T) {
 	waitTraffic(8)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
-			reg := set.Replica(i).Server().Registry()
+			reg := set.Replica(i).srv.Registry()
 			m := nn.NewMLP([]int{21, 32, 8}, int64(100*round+i))
-			v, err := reg.Publish("model-1", m, fmt.Sprintf("swap round %d", round))
+			v, err := reg.Publish("model-1", m)
 			if err != nil {
 				t.Fatalf("replica %d round %d publish: %v", i, round, err)
 			}
@@ -107,7 +107,7 @@ func TestClusterInferUnaffectedByHotSwap(t *testing.T) {
 	// Every replica ends on its third swapped-in version (1 on boot, then
 	// publishes 2..4), so the traffic above really did cross three swaps.
 	for i := 0; i < 3; i++ {
-		reg := set.Replica(i).Server().Registry()
+		reg := set.Replica(i).srv.Registry()
 		if v, err := reg.ActiveVersion("model-1"); err != nil || v != 4 {
 			t.Fatalf("replica %d active version = %d (%v), want 4", i, v, err)
 		}

@@ -83,9 +83,6 @@ type Package struct {
 	Manifest Manifest
 }
 
-// File returns the package's manifest path.
-func (p *Package) File() string { return filepath.Join(p.Dir, "manifest.json") }
-
 // MetricNames lists the envelope metrics, sorted.
 func MetricNames() []string {
 	names := make([]string, 0, len(metricDoc))

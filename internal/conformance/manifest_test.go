@@ -302,8 +302,8 @@ func TestLoadPackageAndDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadPackage: %v", err)
 	}
-	if p.Manifest.Name != "demo" || !strings.HasSuffix(p.File(), "demo/manifest.json") {
-		t.Fatalf("package = %+v, file = %s", p.Manifest, p.File())
+	if p.Manifest.Name != "demo" || filepath.Base(p.Dir) != "demo" {
+		t.Fatalf("package = %+v, dir = %s", p.Manifest, p.Dir)
 	}
 
 	// A directory whose name disagrees with the manifest is rejected:

@@ -233,8 +233,6 @@ func TestTrainMatchesReference(t *testing.T) {
 	cases = append(cases,
 		trainCase{name: "default-batch", sizes: paper, rows: 129, sparsity: 0.6,
 			cfg: TrainConfig{MaxEpochs: 3, Seed: 6}},
-		trainCase{name: "clip+decay", sizes: paper, rows: 50, sparsity: 0.6,
-			cfg: TrainConfig{MaxEpochs: 5, BatchSize: 16, Seed: 7, GradClip: 0.05, WeightDecay: 0.3}},
 		trainCase{name: "early-stop", sizes: []int{21, 16, 8}, rows: 40, sparsity: 0.6,
 			cfg: TrainConfig{MaxEpochs: 200, Patience: 2, BatchSize: 8, Seed: 8, LR0: 0.5}},
 	)

@@ -334,59 +334,3 @@ func clip(x float64) float64 {
 	}
 	return x
 }
-
-func TestWeightDecayShrinksWeights(t *testing.T) {
-	full := synthDataset(200, 21)
-	train, val := full.Split(0.2, 22)
-	norm := func(m *MLP) float64 {
-		s := 0.0
-		for l := range m.weights {
-			for _, w := range m.weights[l] {
-				s += w * w
-			}
-		}
-		return math.Sqrt(s)
-	}
-	plain := NewMLP([]int{3, 16, 2}, 23)
-	decayed := NewMLP([]int{3, 16, 2}, 23)
-	if _, err := plain.Train(train, val, TrainConfig{MaxEpochs: 30, Seed: 24}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decayed.Train(train, val, TrainConfig{
-		MaxEpochs: 30, Seed: 24, WeightDecay: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if norm(decayed) >= norm(plain) {
-		t.Errorf("weight decay did not shrink weights: %g vs %g",
-			norm(decayed), norm(plain))
-	}
-}
-
-func TestGradClipStillLearns(t *testing.T) {
-	full := synthDataset(300, 25)
-	train, val := full.Split(0.2, 26)
-	m := NewMLP([]int{3, 16, 2}, 27)
-	before := m.loss(val)
-	if _, err := m.Train(train, val, TrainConfig{
-		MaxEpochs: 40, Seed: 28, GradClip: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if after := m.loss(val); after >= before/2 {
-		t.Errorf("clipped training barely improved: %g -> %g", before, after)
-	}
-}
-
-func TestClipGradientsBoundsNorm(t *testing.T) {
-	gw := [][]float64{{3, 4}}
-	gb := [][]float64{{0}}
-	clipGradients(gw, gb, 1.0) // norm was 5
-	if n := math.Hypot(gw[0][0], gw[0][1]); math.Abs(n-1.0) > 1e-9 {
-		t.Errorf("clipped norm = %g, want 1", n)
-	}
-	// Below the bound: untouched.
-	gw2 := [][]float64{{0.1, 0.2}}
-	clipGradients(gw2, [][]float64{{0}}, 1.0)
-	if gw2[0][0] != 0.1 || gw2[0][1] != 0.2 {
-		t.Error("in-bound gradients modified")
-	}
-}

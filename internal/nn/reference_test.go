@@ -176,19 +176,7 @@ func (m *MLP) refTrain(train, val Dataset, cfg TrainConfig) TrainResult {
 				scaleSlice(gw[l], 1/n)
 				scaleSlice(gb[l], 1/n)
 			}
-			if cfg.GradClip > 0 {
-				clipGradients(gw, gb, cfg.GradClip)
-			}
 			adam.apply(m, gw, gb, lr)
-			if cfg.WeightDecay > 0 {
-				decay := 1 - lr*cfg.WeightDecay
-				if decay < 0 {
-					decay = 0
-				}
-				for l := range m.weights {
-					scaleSlice(m.weights[l], decay)
-				}
-			}
 			epochLoss += batchLoss
 		}
 		epochLoss /= float64(train.Len())

@@ -66,15 +66,6 @@ type TrainConfig struct {
 	Patience  int     // early-stopping patience in epochs (default 20)
 	BatchSize int     // default 128
 	Seed      int64   // shuffling seed
-
-	// WeightDecay adds decoupled L2 regularization (AdamW-style): weights
-	// shrink by lr·WeightDecay per update. 0 disables it (the paper does
-	// not regularize; early stopping is its only capacity control).
-	WeightDecay float64
-	// GradClip bounds the per-batch gradient L2 norm; 0 disables.
-	GradClip float64
-
-	Verbose func(epoch int, trainLoss, valLoss float64)
 }
 
 // defaults fills unset fields.
@@ -202,19 +193,7 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 				scaleSlice(gw[l], 1/n)
 				scaleSlice(gb[l], 1/n)
 			}
-			if cfg.GradClip > 0 {
-				clipGradients(gw, gb, cfg.GradClip)
-			}
 			adam.apply(m, gw, gb, lr)
-			if cfg.WeightDecay > 0 {
-				decay := 1 - lr*cfg.WeightDecay
-				if decay < 0 {
-					decay = 0
-				}
-				for l := range m.weights {
-					scaleSlice(m.weights[l], decay)
-				}
-			}
 			epochLoss += batchLoss
 		}
 		epochLoss /= float64(train.Len())
@@ -227,9 +206,6 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 		res.ValHistory = append(res.ValHistory, valLoss)
 		res.Epochs = epoch + 1
 		res.TrainLoss = epochLoss
-		if cfg.Verbose != nil {
-			cfg.Verbose(epoch, epochLoss, valLoss)
-		}
 
 		if valLoss < bestVal {
 			bestVal = valLoss
@@ -246,29 +222,6 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 	m.CopyFrom(best)
 	res.BestValLoss = bestVal
 	return res, nil
-}
-
-// clipGradients rescales all gradients so their global L2 norm is at most
-// maxNorm.
-func clipGradients(gw, gb [][]float64, maxNorm float64) {
-	sum := 0.0
-	for l := range gw {
-		for _, g := range gw[l] {
-			sum += g * g
-		}
-		for _, g := range gb[l] {
-			sum += g * g
-		}
-	}
-	norm := math.Sqrt(sum)
-	if norm <= maxNorm || norm == 0 {
-		return
-	}
-	f := maxNorm / norm
-	for l := range gw {
-		scaleSlice(gw[l], f)
-		scaleSlice(gb[l], f)
-	}
 }
 
 func clearSlice(s []float64) {

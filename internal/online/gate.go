@@ -2,8 +2,7 @@ package online
 
 // GateConfig is the auto-promotion gate: a candidate must first agree with
 // the incumbent on live traffic (shadow scoring), then not regress the
-// simulated QoS / peak-temperature replay. The deltas double as the
-// post-promotion rollback thresholds for live telemetry.
+// simulated QoS / peak-temperature replay, run for both under one seed.
 type GateConfig struct {
 	// Window is the minimum number of shadow-scored rows before the gate
 	// judges a candidate.

@@ -16,9 +16,6 @@ type LoopConfig struct {
 	Interval time.Duration
 	// Manager is the cycle driver. Required.
 	Manager *Manager
-	// Telemetry, when set, is polled each tick for live QoS/thermal
-	// telemetry to feed the rollback monitor; ok=false skips the report.
-	Telemetry func() (violationFrac, peakTemp float64, ok bool)
 	// OnError, when set, receives cycle errors (for logging).
 	OnError func(error)
 }
@@ -57,7 +54,7 @@ func (l *Loop) run() {
 	}
 }
 
-// tick runs one cycle + promotion + rollback check, panic-isolated.
+// tick runs one cycle + promotion check, panic-isolated.
 func (l *Loop) tick() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -72,13 +69,6 @@ func (l *Loop) tick() {
 	}
 	if _, err := m.TryPromote(); err != nil && l.cfg.OnError != nil {
 		l.cfg.OnError(err)
-	}
-	if l.cfg.Telemetry != nil {
-		if vf, pt, ok := l.cfg.Telemetry(); ok {
-			if _, err := m.ReportLive(vf, pt); err != nil && l.cfg.OnError != nil {
-				l.cfg.OnError(err)
-			}
-		}
 	}
 }
 

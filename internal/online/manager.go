@@ -8,13 +8,13 @@ import (
 )
 
 // Publisher is the model registry surface the manager drives: publish a
-// retrained candidate, stage it as shadow, atomically promote it, roll it
-// back. internal/serve implements it over its versioned registry; tests
+// retrained candidate, stage it as shadow, atomically promote it.
+// internal/serve implements it over its versioned registry; tests
 // implement it in-memory. The manager never imports serve — the dependency
 // points the other way.
 type Publisher interface {
 	// Publish registers a new immutable version and returns its number.
-	Publish(m *nn.MLP, source string) (int, error)
+	Publish(m *nn.MLP) (int, error)
 	// Swap atomically makes version active and returns the previous
 	// active version.
 	Swap(version int) (prev int, err error)
@@ -56,7 +56,7 @@ type ManagerConfig struct {
 	// Replay scores candidate and incumbent for the promotion gate
 	// (default SimReplay(20, 2)).
 	Replay ReplayFunc
-	// Gate is the promotion/rollback policy (unset fields take defaults).
+	// Gate is the promotion policy (unset fields take defaults).
 	Gate GateConfig
 	// Metrics receives the online_* series (default: a private registry).
 	Metrics *Metrics
@@ -87,10 +87,6 @@ type Manager struct {
 	cycle        int
 	candidate    candidateState
 	hasCandidate bool
-	prevVersion  int // active version before the last promotion
-	lastPromoted int // last version this manager promoted (0 = none)
-	baseline     ReplayMetrics
-	hasBaseline  bool
 	lastCycle    int64 // unix seconds of the last completed cycle
 }
 
@@ -235,7 +231,7 @@ func (m *Manager) RunCycle(nowUnix int64) error {
 		m.metrics.TrainFailures.Inc()
 		return err
 	}
-	ver, err := m.cfg.Publisher.Publish(cand, fmt.Sprintf("online cycle %d", cycle))
+	ver, err := m.cfg.Publisher.Publish(cand)
 	if err != nil {
 		m.metrics.TrainFailures.Inc()
 		return fmt.Errorf("online: publishing candidate: %w", err)
@@ -379,14 +375,9 @@ func (m *Manager) TryPromote() (bool, error) {
 	if !m.hasCandidate || m.candidate.version != cand.version {
 		return false, nil
 	}
-	prev, err := m.cfg.Publisher.Swap(cand.version)
-	if err != nil {
+	if _, err := m.cfg.Publisher.Swap(cand.version); err != nil {
 		return false, fmt.Errorf("online: promoting v%d: %w", cand.version, err)
 	}
-	m.prevVersion = prev
-	m.lastPromoted = cand.version
-	m.baseline = candMetrics
-	m.hasBaseline = true
 	m.hasCandidate = false
 	m.candidate = candidateState{}
 	m.metrics.Promotions.Inc()
@@ -406,45 +397,12 @@ func (m *Manager) rejectCandidate(version int) {
 	m.metrics.Rejected.Inc()
 }
 
-// ReportLive feeds post-promotion telemetry (the live QoS-violation
-// fraction and peak temperature in °C) into the rollback monitor: if the
-// most recently promoted version is still active and either value
-// regressed beyond the gate deltas relative to the promotion replay
-// baseline, the manager swaps back to the pre-promotion version.
-func (m *Manager) ReportLive(violationFrac, peakTemp float64) (rolledBack bool, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lastPromoted == 0 || !m.hasBaseline {
-		return false, nil
-	}
-	active, err := m.cfg.Publisher.ActiveVersion()
-	if err != nil || active != m.lastPromoted {
-		// Someone else swapped (manual rollback or a newer promotion path):
-		// this baseline no longer describes the active model.
-		m.lastPromoted = 0
-		m.hasBaseline = false
-		return false, err
-	}
-	if violationFrac <= m.baseline.ViolationFrac+m.gate.MaxQoSDelta &&
-		peakTemp <= m.baseline.PeakTemp+m.gate.MaxTempDelta {
-		return false, nil
-	}
-	if _, err := m.cfg.Publisher.Swap(m.prevVersion); err != nil {
-		return false, fmt.Errorf("online: rolling back to v%d: %w", m.prevVersion, err)
-	}
-	m.metrics.Rollbacks.Inc()
-	m.lastPromoted = 0
-	m.hasBaseline = false
-	return true, nil
-}
-
 // Status is the /v1/online wire surface.
 type Status struct {
 	Enabled            bool    `json:"enabled"`
 	Model              string  `json:"model"`
 	ActiveVersion      int     `json:"activeVersion"`
 	CandidateVersion   int     `json:"candidateVersion"`
-	PreviousVersion    int     `json:"previousVersion"`
 	SamplesRecorded    uint64  `json:"samplesRecorded"`
 	SamplesLabeled     uint64  `json:"samplesLabeled"`
 	SamplesSkipped     uint64  `json:"samplesSkipped"`
@@ -453,7 +411,6 @@ type Status struct {
 	TrainCycles        uint64  `json:"trainCycles"`
 	TrainFailures      uint64  `json:"trainFailures"`
 	Promotions         uint64  `json:"promotions"`
-	Rollbacks          uint64  `json:"rollbacks"`
 	CandidatesRejected uint64  `json:"candidatesRejected"`
 	ShadowComparisons  uint64  `json:"shadowComparisons"`
 	ShadowAgreement    float64 `json:"shadowAgreement"`
@@ -467,7 +424,6 @@ func (m *Manager) Status() Status {
 	st := Status{
 		Enabled:            true,
 		Model:              m.cfg.Model,
-		PreviousVersion:    m.prevVersion,
 		SamplesRecorded:    uint64(m.metrics.Recorded.Value()),
 		SamplesLabeled:     uint64(m.metrics.Labeled.Value()),
 		SamplesSkipped:     uint64(m.metrics.Skipped.Value()),
@@ -476,7 +432,6 @@ func (m *Manager) Status() Status {
 		TrainCycles:        uint64(m.metrics.TrainCycles.Value()),
 		TrainFailures:      uint64(m.metrics.TrainFailures.Value()),
 		Promotions:         uint64(m.metrics.Promotions.Value()),
-		Rollbacks:          uint64(m.metrics.Rollbacks.Value()),
 		CandidatesRejected: uint64(m.metrics.Rejected.Value()),
 		LastCycleUnix:      m.lastCycle,
 	}

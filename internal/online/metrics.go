@@ -13,7 +13,6 @@ type Metrics struct {
 	TrainFailures *telemetry.Counter // retrains that errored, panicked, or failed to publish
 	Publishes     *telemetry.Counter // candidate versions published
 	Promotions    *telemetry.Counter // candidates swapped to active
-	Rollbacks     *telemetry.Counter // post-promotion reversions
 	Rejected      *telemetry.Counter // candidates the gate refused
 	ShadowRows    *telemetry.Counter // rows compared candidate-vs-incumbent
 	ShadowAgree   *telemetry.Counter // compared rows whose argmax actions agreed
@@ -43,8 +42,6 @@ func NewMetrics(reg *telemetry.Registry, model string) *Metrics {
 			"candidate model versions published to the registry", "model").With(model),
 		Promotions: reg.CounterVec("online_promotions_total",
 			"candidate versions promoted to active by the gate", "model").With(model),
-		Rollbacks: reg.CounterVec("online_rollbacks_total",
-			"post-promotion rollbacks to the prior version", "model").With(model),
 		Rejected: reg.CounterVec("online_candidates_rejected_total",
 			"candidate versions the promotion gate refused", "model").With(model),
 		ShadowRows: reg.CounterVec("online_shadow_rows_total",

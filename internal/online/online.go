@@ -5,9 +5,9 @@
 // from the expert, actions from the learner), merges them into an
 // aggregated dataset and retrains the MLP off the request path. Candidate
 // models are published to a versioned registry, scored in shadow against
-// live traffic, auto-promoted through a gate on action agreement and
-// simulated QoS / peak-temperature deltas, and auto-rolled-back when
-// post-promotion telemetry regresses.
+// live traffic, and auto-promoted through a gate on action agreement and
+// on QoS / peak-temperature deltas of a seeded candidate-vs-incumbent
+// replay.
 //
 // The package is deterministic (seeded RNG everywhere, no wall-clock
 // reads) except for loop.go, the wall-clock serve adapter that paces

@@ -12,7 +12,7 @@ import (
 )
 
 // ReplayMetrics summarize one candidate evaluation over the replay window:
-// the quantities the promotion gate and the rollback monitor compare.
+// the quantities the promotion gate compares.
 type ReplayMetrics struct {
 	// ViolationFrac is the fraction of applications that missed their QoS
 	// target over the replay window.

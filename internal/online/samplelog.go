@@ -183,13 +183,6 @@ func (l *SampleLog) compactLocked() error {
 	return nil
 }
 
-// Total returns the lifetime append count (== the last assigned Seq).
-func (l *SampleLog) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
 // Len returns the number of retained samples.
 func (l *SampleLog) Len() int {
 	l.mu.Lock()

@@ -48,8 +48,8 @@ func TestSampleLogReopenReproducesReservoir(t *testing.T) {
 			}
 		}
 	}
-	if a.Total() != n || b.Total() != n {
-		t.Fatalf("totals = %d, %d, want %d", a.Total(), b.Total(), n)
+	if a.total != n || b.total != n {
+		t.Fatalf("totals = %d, %d, want %d", a.total, b.total, n)
 	}
 	if got, want := a.Since(0), b.Since(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened reservoir diverged:\n got %v\nwant %v", got, want)
@@ -91,8 +91,8 @@ func TestSampleLogTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.Total() != 4 || l.Len() != 4 {
-		t.Fatalf("after torn tail: total %d len %d, want 4, 4", l.Total(), l.Len())
+	if l.total != 4 || l.Len() != 4 {
+		t.Fatalf("after torn tail: total %d len %d, want 4, 4", l.total, l.Len())
 	}
 	// The torn bytes must be gone so appends extend an intact journal.
 	seq, err := l.Append(mkSample(99))
@@ -162,8 +162,8 @@ func TestSampleLogCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.Total() != 25 {
-		t.Fatalf("total after compacted reopen = %d, want 25", l.Total())
+	if l.total != 25 {
+		t.Fatalf("total after compacted reopen = %d, want 25", l.total)
 	}
 	if got := l.Since(0); !reflect.DeepEqual(got, before) {
 		t.Fatalf("compaction changed the reservoir:\n got %v\nwant %v", got, before)

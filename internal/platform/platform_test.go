@@ -1,10 +1,6 @@
 package platform
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestHiKey970Topology(t *testing.T) {
 	p := HiKey970()
@@ -63,63 +59,6 @@ func TestVoltagesMonotonic(t *testing.T) {
 				t.Errorf("cluster %d: voltage not monotonic at level %d", ci, i)
 			}
 		}
-	}
-}
-
-// minIndexAtLeast returns the lowest VF level index whose frequency is >= f.
-// If f exceeds the maximum frequency, it returns NumOPPs() (one past the
-// last level), signalling that no level satisfies the request.
-func (c *Cluster) minIndexAtLeast(f float64) int {
-	for i, o := range c.OPPs {
-		if o.Freq >= f-1e-3 { // 1 mHz slack against float noise
-			return i
-		}
-	}
-	return len(c.OPPs)
-}
-
-func TestMinIndexAtLeast(t *testing.T) {
-	c := HiKey970().Clusters[0] // LITTLE
-	tests := []struct {
-		f    float64
-		want int
-	}{
-		{0, 0},
-		{509e6, 0},
-		{510e6, 1},
-		{1844e6, 8},
-		{1845e6, 9}, // unreachable
-		{3e9, 9},
-	}
-	for _, tt := range tests {
-		if got := c.minIndexAtLeast(tt.f); got != tt.want {
-			t.Errorf("MinIndexAtLeast(%g) = %d, want %d", tt.f, got, tt.want)
-		}
-	}
-}
-
-func TestMinIndexAtLeastProperty(t *testing.T) {
-	c := HiKey970().Clusters[1] // big
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		req := r.Float64() * 3e9
-		idx := c.minIndexAtLeast(req)
-		if idx < c.NumOPPs() {
-			// Level idx satisfies the request...
-			if c.FreqAt(idx) < req-1e-3 {
-				return false
-			}
-			// ...and is the lowest such level.
-			if idx > 0 && c.FreqAt(idx-1) >= req-1e-3 {
-				return false
-			}
-			return true
-		}
-		// Unreachable: even the max frequency is below the request.
-		return c.MaxFreq() < req-1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

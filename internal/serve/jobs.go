@@ -155,13 +155,6 @@ func (j *Job) setState(st JobState) {
 	}
 }
 
-// State returns the current lifecycle state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 // ErrConflict marks a submission reusing an existing job ID; the HTTP
 // layer maps it to 409.
 var ErrConflict = errors.New("serve: job id already exists")
@@ -189,11 +182,10 @@ type Runner struct {
 	order  []string
 	seq    int
 
-	// hookMu guards the optional continual-learning hooks, installed after
+	// hookMu guards the optional continual-learning hook, installed after
 	// construction by the server's online wiring.
-	hookMu   sync.Mutex
-	observe  func(model string, obs core.EpochObservation)
-	onResult func(model string, res *SimResult)
+	hookMu  sync.Mutex
+	observe func(model string, obs core.EpochObservation)
 
 	done, failed, canceled, submitted, rejected *telemetry.Counter
 	running                                     *telemetry.Gauge
@@ -324,25 +316,10 @@ func (r *Runner) SetObserve(fn func(model string, obs core.EpochObservation)) {
 	r.observe = fn
 }
 
-// SetOnResult installs a hook receiving every successfully completed
-// TOP-IL sim result, tagged with the job's model name — the continual
-// learner's live-telemetry feed.
-func (r *Runner) SetOnResult(fn func(model string, res *SimResult)) {
-	r.hookMu.Lock()
-	defer r.hookMu.Unlock()
-	r.onResult = fn
-}
-
 func (r *Runner) getObserve() func(string, core.EpochObservation) {
 	r.hookMu.Lock()
 	defer r.hookMu.Unlock()
 	return r.observe
-}
-
-func (r *Runner) getOnResult() func(string, *SimResult) {
-	r.hookMu.Lock()
-	defer r.hookMu.Unlock()
-	return r.onResult
 }
 
 // Submit validates and enqueues a job under a runner-minted ID, returning
@@ -533,9 +510,6 @@ func (r *Runner) run(j *Job) {
 		j.setState(StateDone)
 		r.count(StateDone)
 		r.journal(JobRecord{ID: j.id, State: StateDone, Result: res})
-		if fn := r.getOnResult(); fn != nil && j.req.Policy == "TOP-IL" {
-			fn(j.req.Model, res)
-		}
 	}
 }
 

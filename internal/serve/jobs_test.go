@@ -18,7 +18,7 @@ func waitState(t *testing.T, r *Runner, id string, timeout time.Duration) JobSna
 		if !ok {
 			t.Fatalf("job %s disappeared", id)
 		}
-		switch j.State() {
+		switch j.Snapshot().State {
 		case StateDone, StateFailed, StateCanceled:
 			return j.Snapshot()
 		}
@@ -147,7 +147,7 @@ func TestRunnerBackpressureAndCancel(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		j, _ := r.Get(running.ID)
-		if j.State() == StateRunning {
+		if j.Snapshot().State == StateRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -177,7 +177,7 @@ func TestRunnerBackpressureAndCancel(t *testing.T) {
 
 	for _, id := range []string{running.ID, queued.ID} {
 		j, _ := r.Get(id)
-		if s := j.State(); s != StateCanceled {
+		if s := j.Snapshot().State; s != StateCanceled {
 			t.Errorf("job %s state %q, want canceled", id, s)
 		}
 	}
@@ -204,7 +204,7 @@ func TestRunnerShutdownDrains(t *testing.T) {
 	r.Shutdown(ctx) // returns only after every job reached a terminal state
 	for _, id := range ids {
 		j, _ := r.Get(id)
-		if s := j.State(); s != StateDone {
+		if s := j.Snapshot().State; s != StateDone {
 			t.Errorf("job %s state %q after drain, want done", id, s)
 		}
 	}

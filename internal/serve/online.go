@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -51,13 +50,6 @@ type onlineState struct {
 	manager *online.Manager
 	log     *online.SampleLog
 	loop    *online.Loop
-
-	// Latest live telemetry for the rollback monitor: the most recent
-	// completed TOP-IL sim result against the online model.
-	mu       sync.Mutex
-	haveLive bool
-	liveViol float64
-	livePeak float64
 }
 
 // registryPublisher adapts the server's versioned model registry to
@@ -67,14 +59,12 @@ type registryPublisher struct {
 	name string
 }
 
-func (p registryPublisher) Publish(m *nn.MLP, source string) (int, error) {
-	return p.reg.Publish(p.name, m, source)
-}
-func (p registryPublisher) Swap(version int) (int, error) { return p.reg.Swap(p.name, version) }
-func (p registryPublisher) SetShadow(version int) error   { return p.reg.SetShadow(p.name, version) }
-func (p registryPublisher) ClearShadow()                  { p.reg.ClearShadow(p.name) }
-func (p registryPublisher) ActiveVersion() (int, error)   { return p.reg.ActiveVersion(p.name) }
-func (p registryPublisher) ActiveModel() (*nn.MLP, error) { return p.reg.Model(p.name) }
+func (p registryPublisher) Publish(m *nn.MLP) (int, error) { return p.reg.Publish(p.name, m) }
+func (p registryPublisher) Swap(version int) (int, error)  { return p.reg.Swap(p.name, version) }
+func (p registryPublisher) SetShadow(version int) error    { return p.reg.SetShadow(p.name, version) }
+func (p registryPublisher) ClearShadow()                   { p.reg.ClearShadow(p.name) }
+func (p registryPublisher) ActiveVersion() (int, error)    { return p.reg.ActiveVersion(p.name) }
+func (p registryPublisher) ActiveModel() (*nn.MLP, error)  { return p.reg.Model(p.name) }
 
 // startOnline builds the continual learner described by s.cfg.Online and
 // hooks it into the job runner. Called from NewServer.
@@ -112,16 +102,13 @@ func (s *Server) startOnline() error {
 	}
 	st := &onlineState{model: oc.Model, manager: mgr, log: sampleLog}
 	st.loop = online.StartLoop(online.LoopConfig{
-		Interval:  oc.TrainInterval,
-		Manager:   mgr,
-		Telemetry: st.liveTelemetry,
-		OnError:   func(err error) { log.Printf("serve: online: %v", err) },
+		Interval: oc.TrainInterval,
+		Manager:  mgr,
+		OnError:  func(err error) { log.Printf("serve: online: %v", err) },
 	})
 	s.online = st
-	// Sim jobs against the online model feed the recorder; completed runs
-	// feed live QoS/thermal telemetry to the rollback monitor.
+	// Sim jobs against the online model feed the recorder.
 	s.runner.SetObserve(st.observeSim)
-	s.runner.SetOnResult(st.recordResult)
 	return nil
 }
 
@@ -185,24 +172,4 @@ func (o *onlineState) observeSim(model string, obs core.EpochObservation) {
 			return
 		}
 	}
-}
-
-// recordResult folds a completed TOP-IL sim result against the online
-// model into the live-telemetry window the rollback monitor polls.
-func (o *onlineState) recordResult(model string, res *SimResult) {
-	if model != o.model || res == nil || len(res.Apps) == 0 {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.haveLive = true
-	o.liveViol = float64(res.Violations) / float64(len(res.Apps))
-	o.livePeak = res.PeakTemp
-}
-
-// liveTelemetry is the loop's rollback-monitor probe.
-func (o *onlineState) liveTelemetry() (violationFrac, peakTemp float64, ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.liveViol, o.livePeak, o.haveLive
 }

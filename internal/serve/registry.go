@@ -28,9 +28,9 @@ var ErrNotFound = errors.New("serve: model not found")
 // 404 like ErrNotFound.
 var ErrVersionNotFound = errors.New("serve: model version not found")
 
-// DefaultRetainVersions is how many published versions a model chain keeps
-// for rollback. The active and shadow versions are always retained on top
-// of this window.
+// DefaultRetainVersions bounds how many published versions a model chain
+// keeps, so superseded and rejected candidates do not accumulate. The active
+// and shadow versions are always retained on top of this window.
 const DefaultRetainVersions = 8
 
 // Registry loads named IL models from an artifacts directory and manages a
@@ -65,7 +65,6 @@ type chain struct {
 type Artifact struct {
 	name    string
 	version int
-	source  string // provenance, e.g. "disk" or "online trainer cycle 3"
 	model   *nn.MLP
 	dev     *npu.NPU
 }
@@ -138,7 +137,7 @@ func (r *Registry) activeArtifact(name string) (*Artifact, error) {
 		}
 		return nil, fmt.Errorf("serve: loading model %q: %w", name, err)
 	}
-	a := &Artifact{name: name, version: c.next, source: "disk", model: m, dev: npu.New(m)}
+	a := &Artifact{name: name, version: c.next, model: m, dev: npu.New(m)}
 	c.next++
 	c.versions = append(c.versions, a)
 	c.active.Store(a)
@@ -161,7 +160,7 @@ func (r *Registry) Model(name string) (*nn.MLP, error) {
 // window (never the active or shadow one). The new model's shape must
 // match the chain's active model, so a swap can never change the wire
 // contract of in-flight clients.
-func (r *Registry) Publish(name string, m *nn.MLP, source string) (int, error) {
+func (r *Registry) Publish(name string, m *nn.MLP) (int, error) {
 	if m == nil {
 		return 0, fmt.Errorf("serve: publishing nil model for %q", name)
 	}
@@ -183,7 +182,7 @@ func (r *Registry) Publish(name string, m *nn.MLP, source string) (int, error) {
 				name, m.InputDim(), m.OutputDim(), a.model.InputDim(), a.model.OutputDim())
 		}
 	}
-	a := &Artifact{name: name, version: c.next, source: source, model: m, dev: npu.New(m)}
+	a := &Artifact{name: name, version: c.next, model: m, dev: npu.New(m)}
 	c.next++
 	c.versions = append(c.versions, a)
 	r.mu.Lock()

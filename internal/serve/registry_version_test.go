@@ -56,7 +56,7 @@ func TestRegistryPublishSwapRollback(t *testing.T) {
 	writeModel(t, dir, "model-1", []int{21, 16, 8}, 1)
 	r := NewRegistry(dir)
 
-	v2, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, 2), "test cycle 1")
+	v2, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestRegistryPublishSwapRollback(t *testing.T) {
 	}
 
 	// Shape-mismatched weights are rejected at publish time.
-	if _, err := r.Publish("model-1", nn.NewMLP([]int{5, 4, 8}, 3), "bad"); err == nil {
+	if _, err := r.Publish("model-1", nn.NewMLP([]int{5, 4, 8}, 3)); err == nil {
 		t.Fatal("publish accepted a model with a different input dim")
 	}
-	if _, err := r.Publish("model-1", nn.NewMLP([]int{21, 4, 4}, 3), "bad"); err == nil {
+	if _, err := r.Publish("model-1", nn.NewMLP([]int{21, 4, 4}, 3)); err == nil {
 		t.Fatal("publish accepted a model with a different output dim")
 	}
 }
@@ -108,7 +108,7 @@ func TestRegistryShadowLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	writeModel(t, dir, "model-1", []int{21, 16, 8}, 1)
 	r := NewRegistry(dir)
-	v2, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, 2), "candidate")
+	v2, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRegistryRetention(t *testing.T) {
 	r := NewRegistry(dir)
 	r.retain = 3
 	for i := 0; i < 6; i++ {
-		if _, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, int64(10+i)), "test"); err != nil {
+		if _, err := r.Publish("model-1", nn.NewMLP([]int{21, 16, 8}, int64(10+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestRegistryRetention(t *testing.T) {
 // activates it.
 func TestRegistryPublishWithoutDiskArtifact(t *testing.T) {
 	r := NewRegistry(t.TempDir())
-	v, err := r.Publish("fresh", nn.NewMLP([]int{21, 16, 8}, 1), "online")
+	v, err := r.Publish("fresh", nn.NewMLP([]int{21, 16, 8}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func waitTerminal(t *testing.T, r *Runner, id string) JobSnapshot {
 		if !ok {
 			t.Fatalf("job %s disappeared", id)
 		}
-		if isTerminal(j.State()) {
+		if isTerminal(j.Snapshot().State) {
 			return j.Snapshot()
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -150,7 +150,7 @@ func TestRunnerJournalsQueuedBeforeQueueing(t *testing.T) {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(10 * time.Second)
-			for j, _ := r.Get("c-busy"); j.State() != StateRunning; {
+			for j, _ := r.Get("c-busy"); j.Snapshot().State != StateRunning; {
 				if time.Now().After(deadline) {
 					t.Fatal("busy job never started")
 				}
@@ -238,7 +238,7 @@ func TestRunnerRecoversFromStore(t *testing.T) {
 	defer r.Shutdown(context.Background())
 
 	j, ok := r.Get("c-a-0001")
-	if !ok || j.State() != StateDone {
+	if !ok || j.Snapshot().State != StateDone {
 		t.Fatalf("terminal job not restored: ok=%v", ok)
 	}
 	if snap := j.Snapshot(); snap.Result == nil || snap.Result.Technique != "GTS/ondemand" {

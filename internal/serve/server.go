@@ -117,10 +117,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Telemetry exposes the server's metric registry (used by topil-serve and
-// tests).
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
 // Registry exposes the model registry (used by conformance tests).
 func (s *Server) Registry() *Registry { return s.reg }
 

@@ -182,8 +182,8 @@ func TestSharedTelemetryRegistry(t *testing.T) {
 		ts.Close()
 		s.Shutdown(context.Background())
 	}()
-	if s.Telemetry() != reg {
-		t.Fatal("Telemetry() must return the injected registry")
+	if s.tel != reg {
+		t.Fatal("server must keep the injected registry")
 	}
 	getJSON(t, ts.URL+"/v1/healthz", nil)
 	deadline := time.Now().Add(2 * time.Second)

@@ -200,17 +200,6 @@ func (t *Tracer) Spans() ([]SpanRecord, uint64) {
 	return out, t.dropped
 }
 
-// Reset discards all recorded spans. Nil tracers do nothing.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.dropped = 0
-	t.mu.Unlock()
-}
-
 // TraceSet is a collection of named tracers — one per experiment cell —
 // serialized together as a single Chrome trace file with one "process"
 // per tracer. Tracer creation is concurrent-safe; output ordering is by

@@ -33,7 +33,7 @@ func newStubPublisher(incumbent *nn.MLP) *stubPublisher {
 	return &stubPublisher{models: map[int]*nn.MLP{1: incumbent}, active: 1, next: 2}
 }
 
-func (p *stubPublisher) Publish(m *nn.MLP, source string) (int, error) {
+func (p *stubPublisher) Publish(m *nn.MLP) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v := p.next

@@ -238,41 +238,6 @@ func TestTempsReturnsCopy(t *testing.T) {
 	}
 }
 
-// tempsInto copies the current node temperatures in °C into dst without
-// allocating. It panics on a length mismatch: callers size the buffer from
-// len(Nodes) once, so a mismatch is a programming error.
-func (n *Network) tempsInto(dst []float64) {
-	if len(dst) != len(n.t) {
-		panic("thermal: temperature buffer length mismatch")
-	}
-	copy(dst, n.t)
-}
-
-func TestTempsInto(t *testing.T) {
-	n := HiKey970Network(true, 25)
-	p := make([]float64, 9)
-	p[4] = 3
-	n.Step(p, 10)
-	dst := make([]float64, len(n.Nodes))
-	n.tempsInto(dst)
-	for i, v := range n.Temps() {
-		if dst[i] != v {
-			t.Errorf("node %d: TempsInto %g != Temps %g", i, dst[i], v)
-		}
-	}
-	// Writing through the buffer must not touch network state.
-	dst[4] = -1
-	if n.Temp(4) == -1 {
-		t.Error("TempsInto aliased internal state")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("short buffer: expected panic")
-		}
-	}()
-	n.tempsInto(make([]float64, 2))
-}
-
 func TestStepAndTempsIntoDoNotAllocate(t *testing.T) {
 	n := HiKey970Network(true, 25)
 	p := make([]float64, 9)
@@ -281,10 +246,10 @@ func TestStepAndTempsIntoDoNotAllocate(t *testing.T) {
 	n.Step(p, 0.01) // warm the lazy stableStep cache
 	allocs := testing.AllocsPerRun(100, func() {
 		n.Step(p, 0.01)
-		n.tempsInto(dst)
+		copy(dst, n.TempsView())
 	})
 	if allocs != 0 {
-		t.Errorf("Step+TempsInto allocate %.1f objects per tick, want 0", allocs)
+		t.Errorf("Step and a TempsView copy allocate %.1f objects per tick, want 0", allocs)
 	}
 }
 
