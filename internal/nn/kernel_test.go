@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // sparseDataset draws n rows of standard-normal inputs, each entry an exact
@@ -133,6 +135,14 @@ var edgeCases = []edgeCase{
 			d.Y[r][0] = 0
 		}
 	}},
+	// A −Inf weight masks hidden unit 0 of the second layer in every row
+	// (the first layer's unit 0 is kept active), so its delta is a masked
+	// zero: propagated densely through the −Inf weight it is NaN, which a
+	// pass that skipped the zero delta would miss.
+	{"masked-inf-weight", func(m *MLP, d Dataset) {
+		m.biases[0][0] = 1e3
+		m.weights[1][0] = math.Inf(-1)
+	}},
 	// Huge last-layer weights on tiny activations keep the output and the
 	// loss finite while the deltas propagated from it overflow.
 	{"overflowing-delta", func(m *MLP, d Dataset) {
@@ -146,35 +156,48 @@ var edgeCases = []edgeCase{
 	}},
 }
 
-// checkStep compares one minibatch of the training kernel with the
-// per-sample reference: loss, weight and bias gradients.
-func checkStep(t *testing.T, name string, m *MLP, d Dataset, idx []int) {
+// checkStep compares one minibatch of the training kernel on workers
+// goroutines with the per-sample reference: loss, weight and bias
+// gradients, and the workspace's validation loss.
+func checkStep(t *testing.T, name string, m *MLP, d Dataset, idx []int, workers int) {
 	t.Helper()
-	gw, gb := make([][]float64, len(m.weights)), make([][]float64, len(m.weights))
 	rw, rb := make([][]float64, len(m.weights)), make([][]float64, len(m.weights))
 	for l := range m.weights {
-		gw[l], rw[l] = make([]float64, len(m.weights[l])), make([]float64, len(m.weights[l]))
-		gb[l], rb[l] = make([]float64, len(m.biases[l])), make([]float64, len(m.biases[l]))
-		for i := range gw[l] {
-			gw[l][i] = 7 // step must overwrite, not accumulate
+		rw[l], rb[l] = make([]float64, len(m.weights[l])), make([]float64, len(m.biases[l]))
+	}
+	ws := newWorkspace(m, len(idx), workers)
+	defer ws.close()
+	for l := range ws.gw {
+		for i := range ws.gw[l] {
+			ws.gw[l][i] = 7 // step must overwrite, not accumulate
 		}
 	}
-	got := newWorkspace(m.sizes, len(idx)).step(m, d.X, d.Y, idx, gw, gb)
+	got := ws.step(d.X, d.Y, idx)
 	want := m.refBatchGrad(d, idx, rw, rb)
 	if !sameBits(got, want) {
 		t.Fatalf("%s: batch loss %v, want %v", name, got, want)
 	}
 	for l := range m.weights {
-		if s := diffSlices(gw[l], rw[l]); s != "" {
+		if s := diffSlices(ws.gw[l], rw[l]); s != "" {
 			t.Fatalf("%s: gw[%d]%s", name, l, s)
 		}
-		if s := diffSlices(gb[l], rb[l]); s != "" {
+		if s := diffSlices(ws.gb[l], rb[l]); s != "" {
 			t.Fatalf("%s: gb[%d]%s", name, l, s)
 		}
 	}
-	if l1, l2 := m.loss(d), m.refLoss(d); !sameBits(l1, l2) {
-		t.Fatalf("%s: Loss %v, want %v", name, l1, l2)
+	if l1, l2 := ws.loss(d), m.refLoss(d); !sameBits(l1, l2) {
+		t.Fatalf("%s: loss %v, want %v", name, l1, l2)
 	}
+}
+
+// workerCounts returns the worker counts the parallel tests run at: 1, 2,
+// 3 and GOMAXPROCS.
+func workerCounts() []int {
+	counts := []int{1, 2, 3}
+	if p := runtime.GOMAXPROCS(0); p > 3 {
+		counts = append(counts, p)
+	}
+	return counts
 }
 
 // TestStepMatchesReference holds the minibatch kernel to bit equality with
@@ -189,7 +212,7 @@ func TestStepMatchesReference(t *testing.T) {
 			m.MapParams(func(v float64) float64 { return v + 0.01 })
 			for n := 1; n <= 9; n++ {
 				idx := rand.New(rand.NewSource(int64(n))).Perm(d.Len())[:n]
-				checkStep(t, fmt.Sprintf("%v/sparsity=%g/n=%d", sizes, sparsity, n), m, d, idx)
+				checkStep(t, fmt.Sprintf("%v/sparsity=%g/n=%d", sizes, sparsity, n), m, d, idx, 1)
 			}
 		}
 	}
@@ -198,7 +221,7 @@ func TestStepMatchesReference(t *testing.T) {
 			d := sparseDataset(6, sizes[0], sizes[len(sizes)-1], 0.6, 3)
 			m := NewMLP(sizes, 4)
 			c.edit(m, d)
-			checkStep(t, fmt.Sprintf("%s/%v", c.name, sizes), m, d, []int{0, 1, 2, 3, 4, 5})
+			checkStep(t, fmt.Sprintf("%s/%v", c.name, sizes), m, d, []int{0, 1, 2, 3, 4, 5}, 1)
 		}
 	}
 }
@@ -242,34 +265,230 @@ func TestTrainMatchesReference(t *testing.T) {
 	}
 
 	for ci, c := range cases {
-		name := fmt.Sprintf("%s/%v/rows=%d/sparsity=%g", c.name, c.sizes, c.rows, c.sparsity)
-		full := sparseDataset(c.rows+c.rows/4+1, c.sizes[0], c.sizes[len(c.sizes)-1], c.sparsity, int64(ci))
-		train := Dataset{X: full.X[:c.rows], Y: full.Y[:c.rows]}
-		val := Dataset{X: full.X[c.rows:], Y: full.Y[c.rows:]}
-		m := NewMLP(c.sizes, int64(ci))
-		if c.edit != nil {
-			c.edit(m, train)
+		checkTrain(t, c, int64(ci), runtime.GOMAXPROCS(0))
+	}
+}
+
+// checkTrain runs one case through train on workers goroutines and
+// through the reference training loop, and requires the same final
+// parameters and the same TrainResult, loss histories included, bit for
+// bit.
+func checkTrain(t *testing.T, c trainCase, seed int64, workers int) {
+	t.Helper()
+	name := fmt.Sprintf("%s/%v/rows=%d/sparsity=%g/workers=%d", c.name, c.sizes, c.rows, c.sparsity, workers)
+	full := sparseDataset(c.rows+c.rows/4+1, c.sizes[0], c.sizes[len(c.sizes)-1], c.sparsity, seed)
+	train := Dataset{X: full.X[:c.rows], Y: full.Y[:c.rows]}
+	val := Dataset{X: full.X[c.rows:], Y: full.Y[c.rows:]}
+	m := NewMLP(c.sizes, seed)
+	if c.edit != nil {
+		c.edit(m, train)
+	}
+	ref := m.Clone()
+	got, err := m.train(train, val, c.cfg, workers)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := ref.refTrain(train, val, c.cfg)
+	if s := diffParams(m, ref); s != "" {
+		t.Fatalf("%s: final %s", name, s)
+	}
+	if got.Epochs != want.Epochs || got.StoppedEarly != want.StoppedEarly ||
+		!sameBits(got.TrainLoss, want.TrainLoss) || !sameBits(got.BestValLoss, want.BestValLoss) {
+		t.Fatalf("%s: result %+v, want %+v", name, got, want)
+	}
+	if s := diffSlices(got.TrainHistory, want.TrainHistory); s != "" {
+		t.Fatalf("%s: TrainHistory%s", name, s)
+	}
+	if s := diffSlices(got.ValHistory, want.ValHistory); s != "" {
+		t.Fatalf("%s: ValHistory%s", name, s)
+	}
+}
+
+// TestStepMatchesReferenceAtEveryWorkerCount holds the two-phase step to
+// the per-sample reference at 1, 2, 3 and GOMAXPROCS workers: one batch
+// below the inline threshold, the smallest split batch, a prime-sized
+// batch no worker count divides and a full 128-row paper batch, over
+// widths that split into ranges of every remainder, and every edge case,
+// with the faulty row placed wherever the shuffle puts it.
+func TestStepMatchesReferenceAtEveryWorkerCount(t *testing.T) {
+	type stepCase struct {
+		sizes []int
+		ns    []int
+	}
+	ns := []int{2*shardRows - 1, 2 * shardRows, 37}
+	cases := []stepCase{
+		{PaperTopology(21, 8), append(ns, 128)},
+		{[]int{21, 8, 8}, ns},
+		{[]int{21, 128, 32, 8}, ns},
+		{[]int{21, 21, 5}, ns},
+		{[]int{5, 21, 8, 5}, ns},
+		{[]int{3, 1}, ns},
+	}
+	for _, workers := range workerCounts() {
+		for ci, c := range cases {
+			for _, sparsity := range []float64{0, 0.6} {
+				n := c.ns[len(c.ns)-1]
+				d := sparseDataset(n, c.sizes[0], c.sizes[len(c.sizes)-1], sparsity, int64(ci))
+				m := NewMLP(c.sizes, int64(ci))
+				m.MapParams(func(v float64) float64 { return v + 0.01 })
+				for _, n := range c.ns {
+					idx := rand.New(rand.NewSource(int64(n))).Perm(d.Len())[:n]
+					checkStep(t, fmt.Sprintf("%v/sparsity=%g/n=%d/workers=%d", c.sizes, sparsity, n, workers),
+						m, d, idx, workers)
+				}
+			}
 		}
-		ref := m.Clone()
-		got, err := m.Train(train, val, c.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := ref.refTrain(train, val, c.cfg)
-		if s := diffParams(m, ref); s != "" {
-			t.Fatalf("%s: final %s", name, s)
-		}
-		if got.Epochs != want.Epochs || got.StoppedEarly != want.StoppedEarly ||
-			!sameBits(got.TrainLoss, want.TrainLoss) || !sameBits(got.BestValLoss, want.BestValLoss) {
-			t.Fatalf("%s: result %+v, want %+v", name, got, want)
-		}
-		if s := diffSlices(got.TrainHistory, want.TrainHistory); s != "" {
-			t.Fatalf("%s: TrainHistory%s", name, s)
-		}
-		if s := diffSlices(got.ValHistory, want.ValHistory); s != "" {
-			t.Fatalf("%s: ValHistory%s", name, s)
+		for _, c := range edgeCases {
+			for _, sizes := range [][]int{{21, 64, 64, 8}, {5, 21, 8, 5}} {
+				d := sparseDataset(37, sizes[0], sizes[len(sizes)-1], 0.6, 3)
+				m := NewMLP(sizes, 4)
+				c.edit(m, d)
+				idx := rand.New(rand.NewSource(int64(workers))).Perm(d.Len())
+				checkStep(t, fmt.Sprintf("%s/%v/workers=%d", c.name, sizes, workers), m, d, idx, workers)
+			}
 		}
 	}
+}
+
+// TestTrainMatchesReferenceAtEveryWorkerCount runs whole training runs at
+// 1, 2, 3 and GOMAXPROCS workers against the reference: minibatches of 37,
+// 37 and the 16-row remainder, every edge case, and a batch size below the
+// inline threshold.
+func TestTrainMatchesReferenceAtEveryWorkerCount(t *testing.T) {
+	split := TrainConfig{MaxEpochs: 3, Patience: 2, BatchSize: 37, Seed: 11}
+	cases := []trainCase{
+		{name: "paper", sizes: PaperTopology(21, 8), rows: 90, sparsity: 0.6, cfg: split},
+		{name: "dense-odd", sizes: []int{5, 21, 8, 5}, rows: 90, cfg: split},
+		{name: "inline", sizes: []int{21, 16, 16, 8}, rows: 40, sparsity: 0.6,
+			cfg: TrainConfig{MaxEpochs: 3, BatchSize: 2*shardRows - 1, Seed: 12}},
+	}
+	for _, c := range edgeCases {
+		cases = append(cases, trainCase{name: c.name, sizes: []int{21, 16, 16, 8}, rows: 90,
+			sparsity: 0.6, cfg: split, edit: c.edit})
+	}
+	for _, workers := range workerCounts() {
+		for ci, c := range cases {
+			checkTrain(t, c, int64(ci), workers)
+		}
+	}
+}
+
+// TestStepTracksParamsFinite runs Adam steps at every worker count and
+// requires ws.pf to agree with the parameters after each: true after a
+// finite update, false once a NaN target has made the update non-finite.
+// With one layer the NaN reaches only the last output's parameters, which
+// lie in the last worker's range.
+func TestStepTracksParamsFinite(t *testing.T) {
+	for _, workers := range workerCounts() {
+		m := NewMLP([]int{21, 8}, 1)
+		d := sparseDataset(37, 21, 8, 0.6, 1)
+		idx := rand.New(rand.NewSource(2)).Perm(d.Len())
+		ws := newWorkspace(m, d.Len(), workers)
+		ws.opt, ws.lr = newAdamState(m), 0.01
+		ws.step(d.X, d.Y, idx)
+		if !ws.pf || !m.paramsFinite() {
+			t.Fatalf("workers=%d: after a finite step pf=%v, params finite=%v", workers, ws.pf, m.paramsFinite())
+		}
+		d.Y[5][7] = math.NaN()
+		ws.step(d.X, d.Y, idx)
+		if ws.pf || m.paramsFinite() {
+			t.Fatalf("workers=%d: after a NaN step pf=%v, params finite=%v", workers, ws.pf, m.paramsFinite())
+		}
+		ws.close()
+	}
+}
+
+// TestStepWakesSleepingHelpers lets every helper stop polling and block
+// between steps, and requires each following step to wake them and still
+// match the reference.
+func TestStepWakesSleepingHelpers(t *testing.T) {
+	m := NewMLP([]int{21, 16, 8}, 1)
+	d := sparseDataset(37, 21, 8, 0.6, 1)
+	idx := rand.New(rand.NewSource(3)).Perm(d.Len())
+	ws := newWorkspace(m, d.Len(), 3)
+	defer ws.close()
+	rw, rb := make([][]float64, len(m.weights)), make([][]float64, len(m.weights))
+	for l := range m.weights {
+		rw[l], rb[l] = make([]float64, len(m.weights[l])), make([]float64, len(m.biases[l]))
+	}
+	want := m.refBatchGrad(d, idx, rw, rb)
+	for round := 0; round < 3; round++ {
+		for w := range ws.helpers {
+			for i := 0; !ws.helpers[w].asleep.Load(); i++ {
+				if i == 5000 {
+					t.Fatalf("round %d: helper %d never went to sleep", round, w+1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if got := ws.step(d.X, d.Y, idx); !sameBits(got, want) {
+			t.Fatalf("round %d: batch loss %v, want %v", round, got, want)
+		}
+		if s := diffParams(&MLP{weights: ws.gw, biases: ws.gb}, &MLP{weights: rw, biases: rb}); s != "" {
+			t.Fatalf("round %d: gradients %s", round, s)
+		}
+	}
+}
+
+// TestTrainStopsItsWorkers checks that no helper outlives close or Train:
+// afterwards the goroutine count is back at or below where it started
+// (a goroutine of an earlier test may end meanwhile).
+func TestTrainStopsItsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := NewMLP([]int{21, 16, 8}, 1)
+	ws := newWorkspace(m, 64, 3)
+	if len(ws.helpers) != 2 {
+		t.Fatalf("workspace on 3 workers has %d helpers, want 2", len(ws.helpers))
+	}
+	ws.close()
+	settled(t, "closed workspace", before)
+	d := sparseDataset(80, 21, 8, 0.6, 1)
+	if _, err := m.train(d, d, TrainConfig{MaxEpochs: 2, BatchSize: 64}, 3); err != nil {
+		t.Fatal(err)
+	}
+	settled(t, "after train on 3 workers", before)
+	if _, err := m.Train(d, d, TrainConfig{MaxEpochs: 2, BatchSize: 64}); err != nil {
+		t.Fatal(err)
+	}
+	settled(t, "after Train", before)
+}
+
+// settled fails unless the goroutine count falls to limit or below. A
+// helper has finished its work once close returns, but the runtime may
+// count it for a moment longer, so the count is polled for up to a second.
+func settled(t *testing.T, what string, limit int) {
+	t.Helper()
+	got := runtime.NumGoroutine()
+	for i := 0; i < 1000 && got > limit; i++ {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > limit {
+		t.Fatalf("%s: %d goroutines, want at most %d", what, got, limit)
+	}
+}
+
+// TestStepPanicOnHelperReachesCaller gives the last row shard a target row
+// too short to read: the helper's panic must surface from step on the
+// calling goroutine, and the workspace must still close.
+func TestStepPanicOnHelperReachesCaller(t *testing.T) {
+	m := NewMLP([]int{21, 16, 8}, 1)
+	d := sparseDataset(32, 21, 8, 0.6, 1)
+	d.Y[31] = []float64{1, 2, 3}
+	idx := make([]int, d.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	ws := newWorkspace(m, d.Len(), 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("step did not panic")
+			}
+		}()
+		ws.step(d.X, d.Y, idx)
+	}()
+	ws.close()
 }
 
 // TestPredictBatchMatchesReference checks the blocked inference kernels
@@ -302,8 +521,9 @@ func TestPredictBatchMatchesReference(t *testing.T) {
 }
 
 // BenchmarkNNTrainStep is one minibatch of the paper topology (128 rows,
-// 60 % zero features) through a warm workspace: the training kernel's
-// steady state, which must not allocate.
+// 60 % zero features) through a warm workspace on GOMAXPROCS workers: the
+// training kernel's steady state, which must not allocate on one worker
+// (inline) or several (split).
 func BenchmarkNNTrainStep(b *testing.B) {
 	m := NewMLP(PaperTopology(21, 8), 1)
 	d := sparseDataset(128, 21, 8, 0.6, 2)
@@ -311,16 +531,32 @@ func BenchmarkNNTrainStep(b *testing.B) {
 	for i := range idx {
 		idx[i] = i
 	}
-	gw, gb := make([][]float64, len(m.weights)), make([][]float64, len(m.weights))
-	for l := range m.weights {
-		gw[l] = make([]float64, len(m.weights[l]))
-		gb[l] = make([]float64, len(m.biases[l]))
-	}
-	ws := newWorkspace(m.sizes, len(idx))
-	ws.step(m, d.X, d.Y, idx, gw, gb)
+	ws := newWorkspace(m, len(idx), runtime.GOMAXPROCS(0))
+	defer ws.close()
+	ws.step(d.X, d.Y, idx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.step(m, d.X, d.Y, idx, gw, gb)
+		ws.step(d.X, d.Y, idx)
+	}
+}
+
+// BenchmarkNNTrain is one online-shaped retraining: a warm-started paper
+// topology fit on 130 rows with a 15 % validation split for 30 epochs,
+// the online learner's default schedule with early stopping off.
+func BenchmarkNNTrain(b *testing.B) {
+	incumbent := NewMLP(PaperTopology(21, 8), 1)
+	d := sparseDataset(130, 21, 8, 0.6, 2)
+	train, val := d.Split(0.15, 3)
+	if _, err := incumbent.Train(train, val, TrainConfig{MaxEpochs: 2, Seed: 4}); err != nil {
+		b.Fatal(err)
+	}
+	cfg := TrainConfig{LR0: 2e-3, LRDecay: 0.97, MaxEpochs: 30, Patience: 31, Seed: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := incumbent.Clone().Train(train, val, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,9 +8,9 @@
 // Only the standard library is used. Initialization is seeded, and the
 // kernels (kernel.go) are fast without giving up determinism: inference is
 // a register-blocked dense pass, and training runs whole minibatches
-// through a preallocated workspace that skips exact-zero terms. Both
-// produce results bit-identical to the textbook per-sample formulation,
-// which the tests keep as their reference.
+// through a preallocated workspace, on every core, skipping exact-zero
+// terms. Both produce results bit-identical to the textbook per-sample
+// formulation, at any core count, which the tests keep as their reference.
 package nn
 
 import (
@@ -33,8 +33,8 @@ var forwardPasses = telemetry.LazyCounter{Name: "nn_forward_passes_total",
 // MLP is a multi-layer perceptron with ReLU hidden activations and a linear
 // output layer.
 //
-// Concurrency: Predict, PredictBatch, Loss and the other read-only
-// accessors never mutate the network (each call allocates its own scratch;
+// Concurrency: Predict, PredictBatch and the other read-only accessors
+// never mutate the network (each call allocates its own scratch;
 // the network holds none), so a trained MLP may be shared by any number of
 // goroutines — the serving layer's batcher depends on this. The guarantee
 // holds only while no goroutine concurrently mutates parameters (Train,

@@ -18,7 +18,9 @@ func (m *MLP) loss(d Dataset) float64 {
 	for _, x := range d.X {
 		m.checkInput(x)
 	}
-	return newWorkspace(m.sizes, min(d.Len(), TrainConfig{}.defaults().BatchSize)).loss(m, d)
+	ws := newWorkspace(m, min(d.Len(), TrainConfig{}.defaults().BatchSize), 1)
+	defer ws.close()
+	return ws.loss(d)
 }
 
 func TestNewMLPShapes(t *testing.T) {
@@ -80,9 +82,10 @@ func TestBackpropGradientCheck(t *testing.T) {
 	x := []float64{0.5, -1.2, 0.8}
 	y := []float64{0.3, -0.7}
 
-	gw := [][]float64{make([]float64, len(m.weights[0])), make([]float64, len(m.weights[1]))}
-	gb := [][]float64{make([]float64, len(m.biases[0])), make([]float64, len(m.biases[1]))}
-	newWorkspace(m.sizes, 1).step(m, [][]float64{x}, [][]float64{y}, []int{0}, gw, gb)
+	ws := newWorkspace(m, 1, 1)
+	defer ws.close()
+	ws.step([][]float64{x}, [][]float64{y}, []int{0})
+	gw, gb := ws.gw, ws.gb
 
 	loss := func() float64 {
 		out := m.Predict(x)

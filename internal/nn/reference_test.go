@@ -139,6 +139,16 @@ func (m *MLP) refBatchGrad(d Dataset, idx []int, gw, gb [][]float64) float64 {
 	return loss
 }
 
+// apply performs one Adam update of every parameter given averaged
+// gradients.
+func (s *adamState) apply(m *MLP, gw, gb [][]float64, lr float64) {
+	c1, c2 := s.advance()
+	for l := range m.weights {
+		adamUpdate(m.weights[l], gw[l], s.mw[l], s.vw[l], lr, c1, c2)
+		adamUpdate(m.biases[l], gb[l], s.mb[l], s.vb[l], lr, c1, c2)
+	}
+}
+
 // refTrain is Train over the reference kernels: same shuffling, Adam,
 // clipping, decay and early stopping, with refBatchGrad and refLoss in
 // place of the workspace.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/telemetry"
 )
@@ -122,29 +123,38 @@ const (
 	adamEps   = 1e-8
 )
 
-// apply performs one Adam update given averaged gradients.
-func (s *adamState) apply(m *MLP, gw, gb [][]float64, lr float64) {
+// advance starts the next Adam step and returns its bias corrections.
+func (s *adamState) advance() (c1, c2 float64) {
 	s.t++
-	c1 := 1 - math.Pow(adamBeta1, float64(s.t))
-	c2 := 1 - math.Pow(adamBeta2, float64(s.t))
-	upd := func(p, g, mo, ve []float64) {
-		for i := range p {
-			mo[i] = adamBeta1*mo[i] + (1-adamBeta1)*g[i]
-			ve[i] = adamBeta2*ve[i] + (1-adamBeta2)*g[i]*g[i]
-			mh := mo[i] / c1
-			vh := ve[i] / c2
-			p[i] -= lr * mh / (math.Sqrt(vh) + adamEps)
-		}
+	return 1 - math.Pow(adamBeta1, float64(s.t)), 1 - math.Pow(adamBeta2, float64(s.t))
+}
+
+// adamUpdate applies one Adam step with bias corrections c1, c2 to the
+// parameters p, given their averaged gradients g and moment estimates mo,
+// ve, and reports whether every updated parameter is finite.
+func adamUpdate(p, g, mo, ve []float64, lr, c1, c2 float64) bool {
+	chk := 0.0
+	for i := range p {
+		mo[i] = adamBeta1*mo[i] + (1-adamBeta1)*g[i]
+		ve[i] = adamBeta2*ve[i] + (1-adamBeta2)*g[i]*g[i]
+		mh := mo[i] / c1
+		vh := ve[i] / c2
+		p[i] -= lr * mh / (math.Sqrt(vh) + adamEps)
+		chk += p[i] - p[i]
 	}
-	for l := range m.weights {
-		upd(m.weights[l], gw[l], s.mw[l], s.vw[l])
-		upd(m.biases[l], gb[l], s.mb[l], s.vb[l])
-	}
+	return chk == 0
 }
 
 // Train fits the model on train, monitoring val for early stopping. The
-// model is left with the parameters of the best validation epoch.
+// model is left with the parameters of the best validation epoch. Each
+// minibatch runs on up to GOMAXPROCS goroutines, which exit before Train
+// returns; the result is the same at any count.
 func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
+	return m.train(train, val, cfg, runtime.GOMAXPROCS(0))
+}
+
+// train is Train on up to workers goroutines.
+func (m *MLP) train(train, val Dataset, cfg TrainConfig, workers int) (TrainResult, error) {
 	cfg = cfg.defaults()
 	if err := train.Validate(m.InputDim(), m.OutputDim()); err != nil {
 		return TrainResult{}, err
@@ -157,14 +167,9 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	adam := newAdamState(m)
-	ws := newWorkspace(m.sizes, min(cfg.BatchSize, max(train.Len(), val.Len())))
-	gw := make([][]float64, len(m.weights))
-	gb := make([][]float64, len(m.weights))
-	for l := range m.weights {
-		gw[l] = make([]float64, len(m.weights[l]))
-		gb[l] = make([]float64, len(m.biases[l]))
-	}
+	ws := newWorkspace(m, min(cfg.BatchSize, max(train.Len(), val.Len())), workers)
+	defer ws.close()
+	ws.opt = newAdamState(m)
 
 	best := m.Clone()
 	bestVal := math.Inf(1)
@@ -178,29 +183,18 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 
 	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
 		trainEpochs.Inc()
-		lr := cfg.LR0 * math.Pow(cfg.LRDecay, float64(epoch))
+		ws.lr = cfg.LR0 * math.Pow(cfg.LRDecay, float64(epoch))
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 		epochLoss := 0.0
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			endIdx := start + cfg.BatchSize
-			if endIdx > len(order) {
-				endIdx = len(order)
-			}
-			batchLoss := ws.step(m, train.X, train.Y, order[start:endIdx], gw, gb)
-			n := float64(endIdx - start)
-			for l := range gw {
-				scaleSlice(gw[l], 1/n)
-				scaleSlice(gb[l], 1/n)
-			}
-			adam.apply(m, gw, gb, lr)
-			epochLoss += batchLoss
+			epochLoss += ws.step(train.X, train.Y, order[start:min(start+cfg.BatchSize, len(order))])
 		}
 		epochLoss /= float64(train.Len())
 
 		valLoss := epochLoss
 		if val.Len() > 0 {
-			valLoss = ws.loss(m, val)
+			valLoss = ws.loss(val)
 		}
 		res.TrainHistory = append(res.TrainHistory, epochLoss)
 		res.ValHistory = append(res.ValHistory, valLoss)

@@ -48,14 +48,12 @@ func TestLoopDrivesFullCycleWithRollback(t *testing.T) {
 
 func TestLoopSurvivesPanicsAndReportsErrors(t *testing.T) {
 	pub := newFakePublisher(nn.NewMLP([]int{3, 8, 8}, 1))
-	var trainCalls, replayCalls, errs atomic.Int64
-	// TryPromote does not recover a panicking replay: only the loop's
+	// The manager recovers its Labeler, TrainFunc and ReplayFunc but not
+	// the Publisher: a panicking Publish reaches the loop, and only the
 	// per-tick backstop keeps it from ending the loop.
-	m := managerFixture(t, pub, func(*nn.MLP, int64) (ReplayMetrics, error) {
-		replayCalls.Add(1)
-		panic("synthetic replay panic")
-	})
-	m.gate.Window = 1
+	pub.pubPanic = true
+	var trainCalls, errs atomic.Int64
+	m := managerFixture(t, pub, (&scriptedReplay{}).fn)
 	m.cfg.MinNewSamples = 1
 	m.cfg.Train = func(incumbent *nn.MLP, ds nn.Dataset, seed int64) (*nn.MLP, error) {
 		if trainCalls.Add(1) == 1 {
@@ -72,21 +70,20 @@ func TestLoopSurvivesPanicsAndReportsErrors(t *testing.T) {
 
 	waitFor(t, "train attempt", func() bool { return trainCalls.Load() >= 1 })
 	waitFor(t, "error surfaced", func() bool { return errs.Load() >= 1 })
-	// Fresh samples train a candidate; one agreeing shadow row makes it
-	// due for judgement, and every judgement's replay panics.
+	// Fresh samples train a candidate whose Publish panics.
 	recordN(t, m, 6, 6)
-	waitFor(t, "candidate staged", func() bool { return m.Status().CandidateVersion == 2 })
-	m.ObserveShadow(1, 2, rows(1, 3), rows(1, 3))
+	waitFor(t, "publish panic", func() bool { return pub.publishCalls() >= 1 })
 	// Later ticks still run after a tick panicked.
-	waitFor(t, "loop still ticking", func() bool { return replayCalls.Load() >= 2 })
+	recordN(t, m, 6, 12)
+	waitFor(t, "loop still ticking", func() bool { return pub.publishCalls() >= 2 })
 	loop.Close()
 
 	// One failure for the recovered train panic, one per panicked tick.
-	if st, want := m.Status(), uint64(1+replayCalls.Load()); st.TrainFailures != want {
+	if st, want := m.Status(), uint64(1+pub.publishCalls()); st.TrainFailures != want {
 		t.Fatalf("train failures = %d, want %d: %+v", st.TrainFailures, want, st)
 	}
-	if active, _ := pub.state(); active != 1 {
-		t.Fatalf("panicking replays promoted v%d", active)
+	if active, shadow := pub.state(); active != 1 || shadow != 0 {
+		t.Fatalf("panicking publishes left active v%d shadow v%d", active, shadow)
 	}
 	// Close is idempotent.
 	loop.Close()

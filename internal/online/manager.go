@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/nn"
@@ -15,9 +16,8 @@ import (
 type Publisher interface {
 	// Publish registers a new immutable version and returns its number.
 	Publish(m *nn.MLP) (int, error)
-	// Swap atomically makes version active and returns the previous
-	// active version.
-	Swap(version int) (prev int, err error)
+	// Swap atomically makes version active.
+	Swap(version int) error
 	// SetShadow stages version for live-traffic mirroring.
 	SetShadow(version int) error
 	// ClearShadow unstages any shadow version.
@@ -42,8 +42,9 @@ type ManagerConfig struct {
 	// Seed drives every stochastic choice (labeled-example reservoir,
 	// train/val splits, replay scenarios).
 	Seed int64
-	// Workers bounds labeling parallelism per cycle (default 1). The
-	// aggregated dataset is identical for any worker count.
+	// Workers bounds labeling parallelism per cycle (default
+	// GOMAXPROCS). The aggregated dataset is identical for any worker
+	// count.
 	Workers int
 	// MinNewSamples is the number of freshly labeled examples required
 	// before a cycle retrains (default 8).
@@ -106,7 +107,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		return nil, fmt.Errorf("online: ManagerConfig.Log is required")
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 1
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MinNewSamples <= 0 {
 		cfg.MinNewSamples = 8
@@ -273,6 +274,16 @@ func (m *Manager) train(incumbent *nn.MLP, ds nn.Dataset, cycle int) (cand *nn.M
 	return cand, err
 }
 
+// replay wraps the ReplayFunc, converting panics into errors.
+func (m *Manager) replay(model *nn.MLP, seed int64) (rm ReplayMetrics, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rm, err = ReplayMetrics{}, fmt.Errorf("online: replay panicked: %v", p)
+		}
+	}()
+	return m.cfg.Replay(model, seed)
+}
+
 // trainFailure records an asynchronous training-path failure (the loop's
 // panic backstop).
 func (m *Manager) trainFailure() { m.metrics.TrainFailures.Inc() }
@@ -328,8 +339,9 @@ func argmax(v []float64) int {
 
 // TryPromote judges the current candidate once its shadow window is full:
 // reject on low live-traffic agreement, otherwise replay candidate and
-// incumbent under identical seeds and promote only if the candidate does
-// not regress QoS violations or peak temperature beyond the gate deltas.
+// incumbent side by side under identical seeds and promote only if the
+// candidate does not regress QoS violations or peak temperature beyond the
+// gate deltas. A replay that fails or panics rejects the candidate.
 // Returns whether a promotion happened.
 func (m *Manager) TryPromote() (bool, error) {
 	m.mu.Lock()
@@ -347,22 +359,30 @@ func (m *Manager) TryPromote() (bool, error) {
 	}
 
 	// Replay outside the lock: a simulated window takes real time and
-	// ObserveShadow runs on the serving path.
-	seed := m.cfg.Seed ^ splitmix(uint64(cand.version))
-	candMetrics, err := m.cfg.Replay(cand.model, seed)
-	if err != nil {
-		m.rejectCandidate(cand.version)
-		return false, fmt.Errorf("online: replaying candidate v%d: %w", cand.version, err)
-	}
+	// ObserveShadow runs on the serving path. The two replays are
+	// independent, so the incumbent's runs on its own goroutine.
 	incumbent, err := m.cfg.Publisher.ActiveModel()
 	if err != nil {
 		m.rejectCandidate(cand.version)
 		return false, fmt.Errorf("online: loading incumbent for replay: %w", err)
 	}
-	incMetrics, err := m.cfg.Replay(incumbent, seed)
+	seed := m.cfg.Seed ^ splitmix(uint64(cand.version))
+	var incMetrics ReplayMetrics
+	var incErr error
+	incDone := make(chan struct{})
+	go func() {
+		defer close(incDone)
+		incMetrics, incErr = m.replay(incumbent, seed)
+	}()
+	candMetrics, err := m.replay(cand.model, seed)
+	<-incDone
 	if err != nil {
 		m.rejectCandidate(cand.version)
-		return false, fmt.Errorf("online: replaying incumbent: %w", err)
+		return false, fmt.Errorf("online: replaying candidate v%d: %w", cand.version, err)
+	}
+	if incErr != nil {
+		m.rejectCandidate(cand.version)
+		return false, fmt.Errorf("online: replaying incumbent: %w", incErr)
 	}
 	if candMetrics.ViolationFrac > incMetrics.ViolationFrac+m.gate.MaxQoSDelta ||
 		candMetrics.PeakTemp > incMetrics.PeakTemp+m.gate.MaxTempDelta {
@@ -375,7 +395,7 @@ func (m *Manager) TryPromote() (bool, error) {
 	if !m.hasCandidate || m.candidate.version != cand.version {
 		return false, nil
 	}
-	if _, err := m.cfg.Publisher.Swap(cand.version); err != nil {
+	if err := m.cfg.Publisher.Swap(cand.version); err != nil {
 		return false, fmt.Errorf("online: promoting v%d: %w", cand.version, err)
 	}
 	m.hasCandidate = false

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/nn"
@@ -21,6 +24,10 @@ type fakePublisher struct {
 	clears  int
 	pubErr  error
 	swapErr error
+	// pubPanic, when set, makes every Publish panic after counting the
+	// call in pubCalls.
+	pubPanic bool
+	pubCalls int
 }
 
 func newFakePublisher(incumbent *nn.MLP) *fakePublisher {
@@ -30,6 +37,10 @@ func newFakePublisher(incumbent *nn.MLP) *fakePublisher {
 func (p *fakePublisher) Publish(m *nn.MLP) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.pubCalls++
+	if p.pubPanic {
+		panic("synthetic publish panic")
+	}
 	if p.pubErr != nil {
 		return 0, p.pubErr
 	}
@@ -39,22 +50,21 @@ func (p *fakePublisher) Publish(m *nn.MLP) (int, error) {
 	return v, nil
 }
 
-func (p *fakePublisher) Swap(version int) (int, error) {
+func (p *fakePublisher) Swap(version int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.swapErr != nil {
-		return 0, p.swapErr
+		return p.swapErr
 	}
 	if p.models[version] == nil {
-		return 0, fmt.Errorf("fake: no version %d", version)
+		return fmt.Errorf("fake: no version %d", version)
 	}
-	prev := p.active
 	p.active = version
 	p.swaps = append(p.swaps, version)
 	if p.shadow == version {
 		p.shadow = 0
 	}
-	return prev, nil
+	return nil
 }
 
 func (p *fakePublisher) SetShadow(version int) error {
@@ -81,6 +91,12 @@ func (p *fakePublisher) ActiveModel() (*nn.MLP, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.models[p.active], nil
+}
+
+func (p *fakePublisher) publishCalls() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pubCalls
 }
 
 func (p *fakePublisher) state() (active, shadow int) {
@@ -275,7 +291,8 @@ func TestManagerRejectsOnDisagreement(t *testing.T) {
 // TestManagerRejectsOnReplayRegression kills a candidate that agrees on
 // live traffic but regresses the simulated replay.
 func TestManagerRejectsOnReplayRegression(t *testing.T) {
-	pub := newFakePublisher(nn.NewMLP([]int{3, 8, 8}, 1))
+	incumbent := nn.NewMLP([]int{3, 8, 8}, 1)
+	pub := newFakePublisher(incumbent)
 	replay := &scriptedReplay{}
 	m := managerFixture(t, pub, replay.fn)
 
@@ -284,12 +301,10 @@ func TestManagerRejectsOnReplayRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ObserveShadow(1, 2, rows(6, 2), rows(6, 2))
-	// The candidate is replayed first, the incumbent second: script a
-	// candidate that violates QoS far beyond the incumbent baseline.
-	first := true
+	// The two replays run concurrently: script a candidate that violates
+	// QoS far beyond the incumbent baseline.
 	m.cfg.Replay = func(mm *nn.MLP, seed int64) (ReplayMetrics, error) {
-		if first {
-			first = false
+		if mm != incumbent {
 			return ReplayMetrics{ViolationFrac: 0.5, PeakTemp: 95}, nil
 		}
 		return ReplayMetrics{ViolationFrac: 0.1, PeakTemp: 60}, nil
@@ -302,6 +317,51 @@ func TestManagerRejectsOnReplayRegression(t *testing.T) {
 	}
 	if st := m.Status(); st.CandidatesRejected != 1 {
 		t.Fatalf("status after replay rejection: %+v", st)
+	}
+}
+
+// TestManagerRejectsCandidateWhoseReplayPanics makes the first replay of
+// a judgement panic: TryPromote must report it as an error and reject the
+// candidate, so the next cycle trains a fresh one, which then promotes.
+func TestManagerRejectsCandidateWhoseReplayPanics(t *testing.T) {
+	pub := newFakePublisher(nn.NewMLP([]int{3, 8, 8}, 1))
+	var calls atomic.Int64
+	m := managerFixture(t, pub, func(*nn.MLP, int64) (ReplayMetrics, error) {
+		if calls.Add(1) == 1 {
+			panic("synthetic replay panic")
+		}
+		return ReplayMetrics{ViolationFrac: 0.1, PeakTemp: 60}, nil
+	})
+
+	recordN(t, m, 4, 0)
+	if err := m.RunCycle(100); err != nil {
+		t.Fatal(err)
+	}
+	m.ObserveShadow(1, 2, rows(4, 3), rows(4, 3))
+	ok, err := m.TryPromote()
+	if ok || err == nil || !strings.Contains(err.Error(), "replay panicked") {
+		t.Fatalf("TryPromote = (%v, %v), want a replay-panic rejection", ok, err)
+	}
+	if st := m.Status(); st.CandidateVersion != 0 || st.CandidatesRejected != 1 {
+		t.Fatalf("status after panicking replay: %+v", st)
+	}
+	if active, shadow := pub.state(); active != 1 || shadow != 0 {
+		t.Fatalf("after panicking replay: active v%d shadow v%d, want v1 and none", active, shadow)
+	}
+
+	recordN(t, m, 4, 4)
+	if err := m.RunCycle(200); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Status(); st.CandidateVersion != 3 {
+		t.Fatalf("next cycle staged v%d, want v3", st.CandidateVersion)
+	}
+	m.ObserveShadow(1, 3, rows(4, 3), rows(4, 3))
+	if ok, err := m.TryPromote(); !ok || err != nil {
+		t.Fatalf("TryPromote of the fresh candidate = (%v, %v), want a promotion", ok, err)
+	}
+	if active, _ := pub.state(); active != 3 {
+		t.Fatalf("active v%d, want v3", active)
 	}
 }
 
@@ -474,7 +534,7 @@ func TestNewManagerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.cfg.Workers != 1 || m.cfg.MinNewSamples != 8 || m.cfg.DatasetCap != DefaultSampleCap {
+	if m.cfg.Workers != runtime.GOMAXPROCS(0) || m.cfg.MinNewSamples != 8 || m.cfg.DatasetCap != DefaultSampleCap {
 		t.Fatalf("defaults not applied: %+v", m.cfg)
 	}
 	if m.gate.Window != 64 || m.gate.MinAgreement != 0.80 {

@@ -183,13 +183,6 @@ func (l *SampleLog) compactLocked() error {
 	return nil
 }
 
-// Len returns the number of retained samples.
-func (l *SampleLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
 // Since returns copies of the retained samples with Seq > after, ascending
 // by Seq — the trainer's per-cycle drain.
 func (l *SampleLog) Since(after uint64) []Sample {

@@ -54,8 +54,8 @@ func TestSampleLogReopenReproducesReservoir(t *testing.T) {
 	if got, want := a.Since(0), b.Since(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened reservoir diverged:\n got %v\nwant %v", got, want)
 	}
-	if a.Len() != capacity {
-		t.Fatalf("reservoir len = %d, want %d", a.Len(), capacity)
+	if len(a.samples) != capacity {
+		t.Fatalf("reservoir len = %d, want %d", len(a.samples), capacity)
 	}
 	a.Close()
 	b.Close()
@@ -91,8 +91,8 @@ func TestSampleLogTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.total != 4 || l.Len() != 4 {
-		t.Fatalf("after torn tail: total %d len %d, want 4, 4", l.total, l.Len())
+	if l.total != 4 || len(l.samples) != 4 {
+		t.Fatalf("after torn tail: total %d len %d, want 4, 4", l.total, len(l.samples))
 	}
 	// The torn bytes must be gone so appends extend an intact journal.
 	seq, err := l.Append(mkSample(99))

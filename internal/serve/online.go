@@ -60,11 +60,15 @@ type registryPublisher struct {
 }
 
 func (p registryPublisher) Publish(m *nn.MLP) (int, error) { return p.reg.Publish(p.name, m) }
-func (p registryPublisher) Swap(version int) (int, error)  { return p.reg.Swap(p.name, version) }
 func (p registryPublisher) SetShadow(version int) error    { return p.reg.SetShadow(p.name, version) }
 func (p registryPublisher) ClearShadow()                   { p.reg.ClearShadow(p.name) }
 func (p registryPublisher) ActiveVersion() (int, error)    { return p.reg.ActiveVersion(p.name) }
 func (p registryPublisher) ActiveModel() (*nn.MLP, error)  { return p.reg.Model(p.name) }
+
+func (p registryPublisher) Swap(version int) error {
+	_, err := p.reg.Swap(p.name, version)
+	return err
+}
 
 // startOnline builds the continual learner described by s.cfg.Online and
 // hooks it into the job runner. Called from NewServer.

@@ -42,16 +42,15 @@ func (p *stubPublisher) Publish(m *nn.MLP) (int, error) {
 	return v, nil
 }
 
-func (p *stubPublisher) Swap(version int) (int, error) {
+func (p *stubPublisher) Swap(version int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.models[version] == nil {
-		return 0, fmt.Errorf("stub: no version %d", version)
+		return fmt.Errorf("stub: no version %d", version)
 	}
-	prev := p.active
 	p.active = version
 	p.swaps++
-	return prev, nil
+	return nil
 }
 
 func (p *stubPublisher) SetShadow(version int) error {
@@ -236,7 +235,7 @@ func TestCorruptSampleTailRecovery(t *testing.T) {
 		t.Fatalf("reopening a torn log must recover, got %v", err)
 	}
 	defer re.Close()
-	n := re.Len()
+	n := len(re.Since(0))
 	if n == 0 || n >= 8 {
 		t.Fatalf("recovered %d samples, want a non-empty strict prefix of 8", n)
 	}

@@ -285,15 +285,19 @@ echo "== hot-path allocation gate (0 allocs/op)"
 # The //hot annotations are gated statically by topil-lint's hotalloc pass;
 # this is the dynamic counterpart on the two per-tick kernels and on one
 # warm-workspace training minibatch, so an allocation that sneaks past
-# escape-analysis reasoning still fails here.
+# escape-analysis reasoning still fails here. The minibatch runs at -cpu
+# 1 and 4: inline on the calling goroutine, and split across workers.
 for spec in "./internal/thermal BenchmarkNetworkStep" ". BenchmarkEngineTick" \
-    "./internal/nn BenchmarkNNTrainStep"; do
-    pkg=${spec% *}; bench=${spec#* }
-    line=$(go test -run '^$' -bench "^${bench}\$" -benchmem -benchtime 200x "$pkg" \
+    "./internal/nn BenchmarkNNTrainStep -cpu=1,4"; do
+    set -- $spec
+    pkg=$1; bench=$2; shift 2
+    lines=$(go test -run '^$' -bench "^${bench}\$" -benchmem -benchtime 200x "$@" "$pkg" \
         | grep "^${bench}") || { echo "alloc gate: $bench did not run"; exit 1; }
-    allocs=$(printf '%s\n' "$line" | awk '{print $(NF-1)}')
-    [ "$allocs" = "0" ] || { echo "alloc gate: $bench allocates: $line"; exit 1; }
-    echo "$bench: 0 allocs/op"
+    printf '%s\n' "$lines" | while read -r line; do
+        allocs=$(printf '%s\n' "$line" | awk '{print $(NF-1)}')
+        [ "$allocs" = "0" ] || { echo "alloc gate: $bench allocates: $line"; exit 1; }
+        echo "$(printf '%s\n' "$line" | awk '{print $1}'): 0 allocs/op"
+    done
 done
 echo "== topil-experiments trace determinism (-j 1 vs -j 8)"
 # Sim-time traces must be byte-identical regardless of worker count: the
