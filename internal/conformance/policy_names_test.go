@@ -64,7 +64,7 @@ func TestGTSNamesResolveEverywhere(t *testing.T) {
 				t.Errorf("experiments.Manager(%q) = %v, %v", name, m, err)
 			}
 
-			snap, err := runner.Submit(serve.SimRequest{
+			snap, err := runner.SubmitID("", serve.SimRequest{
 				Policy: name, Model: "model-1", Duration: 1, NumJobs: 1, Rate: 2, InstrScale: 0.01,
 			})
 			if name == "TOP-RL" {

@@ -233,9 +233,9 @@ func TestFig8MainShapes(t *testing.T) {
 		il := res.MeanTempOf("TOP-IL")
 		ond := res.MeanTempOf("GTS/ondemand")
 		psv := res.MeanTempOf("GTS/powersave")
-		ilV := res.MeanViolationsOf("TOP-IL")
-		psvV := res.MeanViolationsOf("GTS/powersave")
-		rlV := res.MeanViolationsOf("TOP-RL")
+		ilV := meanViolationsOf(res, "TOP-IL")
+		psvV := meanViolationsOf(res, "GTS/powersave")
+		rlV := meanViolationsOf(res, "TOP-RL")
 
 		if il >= ond {
 			t.Errorf("fan=%v: TOP-IL temp %.1f not below GTS/ondemand %.1f", fan, il, ond)

@@ -45,17 +45,6 @@ func (r *Fig8Result) MeanTempOf(technique string) float64 {
 	return stats.Mean(xs)
 }
 
-// MeanViolationsOf averages a technique's violations over all rates.
-func (r *Fig8Result) MeanViolationsOf(technique string) float64 {
-	var xs []float64
-	for _, c := range r.Cells {
-		if c.Technique == technique {
-			xs = append(xs, c.Violations.Mean)
-		}
-	}
-	return stats.Mean(xs)
-}
-
 // Render prints the figure's bars.
 func (r *Fig8Result) Render() string {
 	cooling := "with fan (8a)"

@@ -311,37 +311,54 @@ func (p *Pipeline) topology() []int {
 }
 
 // QTables returns one pretrained RL table per seed, pretraining on first
-// use.
+// use. Each seed is one cell of an ordered run matrix that loads its
+// cached qtable-<seed>.json.gz artifact or pretrains and saves one; the
+// cells share nothing and call no Pipeline method that takes p.mu.
 func (p *Pipeline) QTables() ([]*rl.QTable, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.qtables != nil {
 		return p.qtables, nil
 	}
-	var tables []*rl.QTable
-	for _, seed := range p.Scale.Seeds {
-		name := fmt.Sprintf("qtable-%d.json.gz", seed)
-		if path, ok := p.artifact(name); ok {
-			t, err := rl.LoadQTable(path)
-			if err == nil {
-				p.progress("loaded RL Q-table (seed %d) from %s", seed, path)
-				tables = append(tables, t)
-				continue
-			}
-			p.progress("qtable cache %s unusable (%v), repretraining", path, err)
+	specs := make([]RunSpec[*rl.QTable], len(p.Scale.Seeds))
+	for i, seed := range p.Scale.Seeds {
+		specs[i] = RunSpec[*rl.QTable]{
+			Tag: fmt.Sprintf("seed%d", seed),
+			Run: func() (*rl.QTable, error) { return p.qtable(seed) },
 		}
-		p.progress("pretraining RL policy (seed %d)", seed)
-		t := rl.NewQTable(p.plat.NumCores())
-		cfg := p.Scale.RLPretrain
-		cfg.Seed = seed
-		if err := rl.Pretrain(t, rl.DefaultParams(), cfg); err != nil {
-			return nil, err
-		}
-		p.saveArtifact(name, func(path string) error { return t.Save(path) })
-		tables = append(tables, t)
+	}
+	cells, err := RunMatrix(p, "qtables", specs)
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]*rl.QTable, len(cells))
+	for i, c := range cells {
+		tables[i] = c.Value
 	}
 	p.qtables = tables
 	return tables, nil
+}
+
+// qtable loads seed's cached Q-table or pretrains and saves one.
+func (p *Pipeline) qtable(seed int64) (*rl.QTable, error) {
+	name := fmt.Sprintf("qtable-%d.json.gz", seed)
+	if path, ok := p.artifact(name); ok {
+		t, err := rl.LoadQTable(path)
+		if err == nil {
+			p.progress("loaded RL Q-table (seed %d) from %s", seed, path)
+			return t, nil
+		}
+		p.progress("qtable cache %s unusable (%v), repretraining", path, err)
+	}
+	p.progress("pretraining RL policy (seed %d)", seed)
+	t := rl.NewQTable(p.plat.NumCores())
+	cfg := p.Scale.RLPretrain
+	cfg.Seed = seed
+	if err := rl.Pretrain(t, rl.DefaultParams(), cfg); err != nil {
+		return nil, err
+	}
+	p.saveArtifact(name, func(path string) error { return t.Save(path) })
+	return t, nil
 }
 
 // Techniques returns the evaluation order used throughout the paper.

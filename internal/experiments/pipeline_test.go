@@ -174,3 +174,54 @@ func TestModelsTrainedOnce(t *testing.T) {
 		t.Errorf("Models()[2] is not seed %d's model", s.Seeds[2])
 	}
 }
+
+// TestQTablesSameAtEveryWorkerCount pretrains three seeds' Q-tables one at
+// a time and in parallel and requires the same tables in seed order,
+// then reloads them from the parallel pipeline's artifacts without
+// pretraining again. The test is not -short-gated, so the race pass runs
+// the parallel pretraining.
+func TestQTablesSameAtEveryWorkerCount(t *testing.T) {
+	s := miniScale()
+	s.Seeds = []int64{1, 2, 3}
+	dir := t.TempDir()
+	tables := func(workers int, artifacts string) ([][]byte, []string) {
+		p := NewPipeline(s)
+		p.Workers = workers
+		p.ArtifactsDir = artifacts
+		var msgs []string
+		p.Progress = func(m string) { msgs = append(msgs, m) }
+		ts, err := p.QTables()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ArtifactErr(); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, q := range ts {
+			b, err := json.Marshal(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out, msgs
+	}
+	seq, _ := tables(1, "")
+	par, _ := tables(4, dir)
+	if !slices.EqualFunc(seq, par, bytes.Equal) {
+		t.Error("Q-tables pretrained at 4 workers differ from those pretrained at 1")
+	}
+	if slices.EqualFunc(seq[:2], seq[1:], bytes.Equal) {
+		t.Error("seeds pretrained identical Q-tables")
+	}
+	loaded, msgs := tables(4, dir)
+	if !slices.EqualFunc(seq, loaded, bytes.Equal) {
+		t.Error("Q-tables loaded from artifacts differ from the pretrained ones")
+	}
+	for _, m := range msgs {
+		if strings.Contains(m, "pretraining RL policy") {
+			t.Errorf("pretrained again despite artifacts: %q", m)
+		}
+	}
+}

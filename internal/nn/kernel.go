@@ -16,7 +16,8 @@ package nn
 // accumulators. Its scratch is per call, so a shared *MLP stays read-only.
 //
 // Training (Train) runs whole minibatches through one preallocated
-// workspace, on every core, in two phases with one join between them:
+// workspace, on every core (or an even share of them while other Train
+// calls run), in two phases with one join between them:
 //
 //  1. Row phase, over contiguous row shards. Each row runs its forward
 //     pass, its loss and the deltas of every layer. A row's values depend
@@ -209,13 +210,18 @@ type workspace struct {
 	base int
 	n    int
 
-	workers int           // helpers plus the calling goroutine
-	ph      phase         // the phase the last bump of gen started
-	gen     atomic.Uint32 // bumped by run to start a phase, and by close
-	left    atomic.Int32  // helpers still inside the current phase
-	stop    atomic.Bool   // set by close before its bump of gen
-	helpers []helper      // helpers[w-1] is worker w
-	ok      []bool        // ok[w]: worker w's updated parameters are all finite
+	workers int // helpers plus the calling goroutine
+	// procs is the worker count asked for. While several Train calls
+	// run, each phase takes at most procs divided by their number.
+	procs int
+	ph    phase // the phase the last bump of gen started
+	// gen is bumped by run to start a phase, and by close: the count of
+	// bumps in its upper 32 bits and the bump's part count in the lower.
+	gen     atomic.Uint64
+	left    atomic.Int32 // helpers still inside the current phase
+	stop    atomic.Bool  // set by close before its bump of gen
+	helpers []helper     // helpers[w-1] is worker w
+	ok      []bool       // ok[w]: worker w's updated parameters are all finite
 	wg      sync.WaitGroup
 }
 
@@ -243,6 +249,7 @@ func newWorkspace(m *MLP, rows, workers int) *workspace {
 		all:     make([]int32, width),
 		pf:      m.paramsFinite(),
 		workers: max(1, min(workers, rows/shardRows)),
+		procs:   workers,
 	}
 	for i := range ws.all {
 		ws.all[i] = int32(i)
@@ -275,16 +282,18 @@ func newWorkspace(m *MLP, rows, workers int) *workspace {
 // close stops the helpers and waits until they have exited.
 func (ws *workspace) close() {
 	ws.stop.Store(true)
-	ws.bump()
+	ws.bump(ws.workers)
 	ws.wg.Wait()
 }
 
-// bump starts the next phase generation and wakes every sleeping helper.
-// A helper whose wake buffer still holds a token from an earlier bump
-// needs no second one: the token alone makes it check the generation.
-func (ws *workspace) bump() {
-	ws.gen.Add(1)
-	for w := range ws.helpers {
+// bump starts the next phase generation on k parts and wakes the sleeping
+// helpers among workers 1 to k-1; the others sit the phase out. A helper
+// whose wake buffer still holds a token from an earlier bump needs no
+// second one: the token alone makes it check the generation. Only the
+// calling goroutine writes gen.
+func (ws *workspace) bump(k int) {
+	ws.gen.Store((ws.gen.Load()>>32+1)<<32 | uint64(k))
+	for w := range ws.helpers[:k-1] {
 		if h := &ws.helpers[w]; h.asleep.Swap(false) {
 			select {
 			case h.wake <- struct{}{}:
@@ -294,19 +303,23 @@ func (ws *workspace) bump() {
 	}
 }
 
-// help is helper w's goroutine: it runs its part of every phase until
-// close.
+// help is helper w's goroutine: it runs its part of every phase it takes
+// part in until close. It reads the part count from the generation it
+// saw, so a helper that sits a phase out reads nothing run may be
+// rewriting for the next one.
 func (ws *workspace) help(w int) {
 	defer ws.wg.Done()
 	h := &ws.helpers[w-1]
-	seen := uint32(0)
+	seen := uint64(0)
 	for {
 		seen = ws.await(h, seen)
 		if ws.stop.Load() {
 			return
 		}
-		h.panic = ws.try(ws.ph, w)
-		ws.left.Add(-1)
+		if k := int(uint32(seen)); w < k {
+			h.panic = ws.try(ws.ph, w, k)
+			ws.left.Add(-1)
+		}
 	}
 }
 
@@ -314,7 +327,7 @@ func (ws *workspace) help(w int) {
 // spinPolls times, yielding the processor between polls, and then blocks
 // until bump wakes it. A wake token can outlive the bump that sent it, so
 // every wake-up checks the generation again.
-func (ws *workspace) await(h *helper, seen uint32) uint32 {
+func (ws *workspace) await(h *helper, seen uint64) uint64 {
 	for range spinPolls {
 		if g := ws.gen.Load(); g != seen {
 			return g
@@ -331,42 +344,45 @@ func (ws *workspace) await(h *helper, seen uint32) uint32 {
 	}
 }
 
-// try runs worker w's part of ph and returns what it panicked with, if
-// anything, so that run can re-raise it on the calling goroutine.
-func (ws *workspace) try(ph phase, w int) (p any) {
+// try runs worker w's part of ph out of k and returns what it panicked
+// with, if anything, so that run can re-raise it on the calling goroutine.
+func (ws *workspace) try(ph phase, w, k int) (p any) {
 	defer func() { p = recover() }()
-	ws.part(ph, w, ws.parts())
+	ws.part(ph, w, k)
 	return nil
 }
 
 // parts returns how many workers the current phase runs on: one below
-// 2·shardRows rows, otherwise at most one per shardRows rows.
+// 2·shardRows rows, otherwise at most one per shardRows rows, and at most
+// procs divided by the number of Train calls running, so that concurrent
+// trainings share the cores rather than each spinning up all of them.
 func (ws *workspace) parts() int {
-	return max(1, min(ws.workers, ws.n/shardRows))
+	share := ws.procs / max(1, int(trainers.Load()))
+	return max(1, min(ws.workers, ws.n/shardRows, share))
 }
 
 // run runs phase ph on ws.parts() workers, the calling goroutine being
-// worker 0, and returns once all of them have finished. Helpers beyond
-// ws.parts() take part with an empty share. A panic on a helper is
-// re-raised here.
-func (ws *workspace) run(ph phase) {
+// worker 0, returns once all of them have finished, and returns their
+// number. A panic on a helper is re-raised here.
+func (ws *workspace) run(ph phase) int {
 	k := ws.parts()
 	if k == 1 {
 		ws.part(ph, 0, 1)
-		return
+		return 1
 	}
 	ws.ph = ph
-	ws.left.Store(int32(len(ws.helpers)))
-	ws.bump()
+	ws.left.Store(int32(k - 1))
+	ws.bump(k)
 	ws.part(ph, 0, k)
 	for ws.left.Load() != 0 {
 		runtime.Gosched()
 	}
-	for w := range ws.helpers {
+	for w := range ws.helpers[:k-1] {
 		if p := ws.helpers[w].panic; p != nil {
 			panic(p)
 		}
 	}
+	return k
 }
 
 // part runs worker w's share of phase ph out of k: a contiguous row shard,
@@ -432,10 +448,10 @@ func (ws *workspace) step(X, Y [][]float64, idx []int) float64 {
 	if ws.opt != nil {
 		ws.c1, ws.c2 = ws.opt.advance()
 	}
-	ws.run(phaseParams)
+	k := ws.run(phaseParams)
 	if ws.opt != nil {
 		ws.pf = true
-		for _, ok := range ws.ok[:ws.parts()] {
+		for _, ok := range ws.ok[:k] {
 			ws.pf = ws.pf && ok
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -13,6 +14,10 @@ import (
 // nn.go for the lazy-binding rationale).
 var trainEpochs = telemetry.LazyCounter{Name: "nn_train_epochs_total",
 	Help: "MLP training epochs completed"}
+
+// trainers counts the Train calls running in the process; their steps
+// share the cores between them (see workspace.parts).
+var trainers atomic.Int32
 
 // Dataset is a supervised learning dataset: X[i] is a feature vector,
 // Y[i] the target vector.
@@ -147,8 +152,9 @@ func adamUpdate(p, g, mo, ve []float64, lr, c1, c2 float64) bool {
 
 // Train fits the model on train, monitoring val for early stopping. The
 // model is left with the parameters of the best validation epoch. Each
-// minibatch runs on up to GOMAXPROCS goroutines, which exit before Train
-// returns; the result is the same at any count.
+// minibatch runs on up to GOMAXPROCS goroutines divided by the number of
+// Train calls running, at least one; the goroutines exit before Train
+// returns, and the result is the same at any count.
 func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 	return m.train(train, val, cfg, runtime.GOMAXPROCS(0))
 }
@@ -166,6 +172,8 @@ func (m *MLP) train(train, val Dataset, cfg TrainConfig, workers int) (TrainResu
 		return TrainResult{}, fmt.Errorf("nn: empty training set")
 	}
 
+	trainers.Add(1)
+	defer trainers.Add(-1)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ws := newWorkspace(m, min(cfg.BatchSize, max(train.Len(), val.Len())), workers)
 	defer ws.close()

@@ -2,11 +2,15 @@ package oracle
 
 import (
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -253,8 +257,12 @@ func ExtractExamples(ts *TraceSet, cfg Config) ([]Example, error) {
 		return idx
 	}
 
+	// Examples are exact duplicates when their features have the same
+	// bits: -0 and +0 differ, and so would two NaN payloads, but
+	// features.Assemble never produces NaN.
 	var out []Example
 	seen := map[string]bool{}
+	var key []byte
 	for _, q := range qValues {
 		for _, liTilde := range sweep(0) {
 			for _, biTilde := range sweep(1) {
@@ -279,11 +287,14 @@ func ExtractExamples(ts *TraceSet, cfg Config) ([]Example, error) {
 						int(src), ts.NumCores, q,
 						[]float64{tildeL / fl, tildeB / fb},
 						occ)
-					key := fmt.Sprint(x)
-					if seen[key] {
+					key = key[:0]
+					for _, v := range x {
+						key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+					}
+					if seen[string(key)] {
 						continue
 					}
-					seen[key] = true
+					seen[string(key)] = true
 					out = append(out, Example{
 						AoIName:  ts.Scenario.AoI.Name,
 						Features: x,
@@ -318,23 +329,77 @@ func subsample(exs []Example, n int, seed int64) []Example {
 	return out
 }
 
-// BuildDataset collects traces and extracts examples for every scenario.
-// progress (optional) is called after each scenario.
+// BuildDataset collects traces and extracts examples for every scenario,
+// on up to GOMAXPROCS goroutines, and returns the examples in scenario
+// order. If scenarios fail, the error is the lowest-indexed failure's.
+// progress (optional) is called after each scenario that succeeds, one
+// call at a time, with done counting up from 1.
 func BuildDataset(scenarios []Scenario, cfg Config, progress func(done, total int)) (*Dataset, error) {
+	return buildDataset(scenarios, cfg, progress, runtime.GOMAXPROCS(0))
+}
+
+// buildDataset is BuildDataset on up to workers goroutines. Scenarios are
+// claimed in index order and no claim follows a failure, so every
+// scenario below a failed one has run and the lowest-indexed failure is
+// the same at any worker count.
+func buildDataset(scenarios []Scenario, cfg Config, progress func(done, total int), workers int) (*Dataset, error) {
+	n := len(scenarios)
+	exs := make([][]Example, n)
+	errs := make([]error, n)
+	var (
+		mu         sync.Mutex // guards next and failed
+		next       int
+		failed     bool
+		progressMu sync.Mutex // serializes progress calls and guards done
+		done       int
+		wg         sync.WaitGroup
+	)
+	claim := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		if failed || next == n {
+			return -1
+		}
+		next++
+		return next - 1
+	}
+	for range max(1, min(workers, n)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := claim(); i >= 0; i = claim() {
+				exs[i], errs[i] = scenarioExamples(scenarios[i], cfg)
+				if errs[i] != nil {
+					mu.Lock()
+					failed = true
+					mu.Unlock()
+				} else if progress != nil {
+					progressMu.Lock()
+					done++
+					progress(done, n)
+					progressMu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
 	d := &Dataset{NumCores: platform.HiKey970().NumCores()}
-	for i, scn := range scenarios {
-		ts, err := CollectTraces(scn, cfg)
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("oracle: scenario %d (%s): %w", i, scn.AoI.Name, err)
+			return nil, fmt.Errorf("oracle: scenario %d (%s): %w", i, scenarios[i].AoI.Name, err)
 		}
-		ex, err := ExtractExamples(ts, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("oracle: scenario %d (%s): %w", i, scn.AoI.Name, err)
-		}
-		d.Examples = append(d.Examples, ex...)
-		if progress != nil {
-			progress(i+1, len(scenarios))
-		}
+		d.Examples = append(d.Examples, exs[i]...)
 	}
 	return d, nil
+}
+
+// scenarioExamples collects one scenario's traces and extracts its
+// examples.
+func scenarioExamples(scn Scenario, cfg Config) ([]Example, error) {
+	ts, err := CollectTraces(scn, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return ExtractExamples(ts, cfg)
 }

@@ -14,9 +14,11 @@ package oracle
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -166,10 +168,15 @@ type TraceSet struct {
 	NumCores  int
 	FreeCores []platform.CoreID
 
-	cfg    *Config // nil for a loaded set
+	cfg *Config // nil for a loaded set
+	// mu guards the two maps, not the simulations: each entry is made
+	// under it and runs its simulation once, outside it, on its first
+	// call, and every other caller of the entry waits for that result.
+	// Different keys therefore simulate concurrently, and each key once.
 	mu     sync.Mutex
-	points map[traceKey]TracePoint
-	warm   map[[2]int][]float64 // °C per thermal node, by (li, bi)
+	points map[traceKey]func() (TracePoint, error)
+	warm   map[[2]int]func() []float64 // °C per thermal node, by (li, bi)
+	runs   atomic.Int64                // warm-ups and measurements run
 }
 
 // NewTraceSet validates the scenario and the level grid and returns a set
@@ -195,8 +202,8 @@ func NewTraceSet(scn Scenario, cfg Config) (*TraceSet, error) {
 		NumCores:  plat.NumCores(),
 		FreeCores: scn.FreeCores(plat.NumCores()),
 		cfg:       &cfg,
-		points:    make(map[traceKey]TracePoint),
-		warm:      make(map[[2]int][]float64),
+		points:    make(map[traceKey]func() (TracePoint, error)),
+		warm:      make(map[[2]int]func() []float64),
 	}, nil
 }
 
@@ -216,58 +223,73 @@ func CollectTraces(scn Scenario, cfg Config) (*TraceSet, error) {
 }
 
 // Point returns the trace point for the AoI on core at grid positions
-// (li, bi), simulating it on first read. A point outside the set — a
-// background core, a position off the grid, or a key a loaded set lacks —
-// is an error, as is a failed simulation.
+// (li, bi), simulating it on first read; concurrent first reads of one
+// key share one simulation. A point outside the set — a background core,
+// a position off the grid, or a key a loaded set lacks — is an error, as
+// is a failed simulation, which every later read of the key returns too.
 func (ts *TraceSet) Point(core platform.CoreID, li, bi int) (TracePoint, error) {
+	k := traceKey{core, li, bi}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.pointLocked(core, li, bi)
+	get, ok := ts.points[k]
+	if !ok {
+		if ts.cfg == nil || li < 0 || li >= len(ts.Grid) || bi < 0 || bi >= len(ts.Grid) ||
+			!slices.Contains(ts.FreeCores, core) {
+			ts.mu.Unlock()
+			return TracePoint{}, fmt.Errorf("oracle: missing trace point core=%d li=%d bi=%d", core, li, bi)
+		}
+		get = sync.OnceValues(func() (TracePoint, error) {
+			ts.runs.Add(1)
+			return measure(ts.Scenario, *ts.cfg, ts.Grid[li], ts.Grid[bi], core, ts.warmup(li, bi))
+		})
+		ts.points[k] = get
+	}
+	ts.mu.Unlock()
+	return get()
 }
 
-// pointLocked is Point with ts.mu held.
-func (ts *TraceSet) pointLocked(core platform.CoreID, li, bi int) (TracePoint, error) {
-	k := traceKey{core, li, bi}
-	if p, ok := ts.points[k]; ok {
-		return p, nil
-	}
-	if ts.cfg == nil || li < 0 || li >= len(ts.Grid) || bi < 0 || bi >= len(ts.Grid) ||
-		!slices.Contains(ts.FreeCores, core) {
-		return TracePoint{}, fmt.Errorf("oracle: missing trace point core=%d li=%d bi=%d", core, li, bi)
-	}
-	ll, bl := ts.Grid[li], ts.Grid[bi]
-	warm, ok := ts.warm[[2]int{li, bi}]
+// warmup returns the warm temperature field at grid positions (li, bi),
+// running the background warm-up on first use; concurrent first uses
+// share one run.
+func (ts *TraceSet) warmup(li, bi int) []float64 {
+	ts.mu.Lock()
+	get, ok := ts.warm[[2]int{li, bi}]
 	if !ok {
-		warm = warmupTemps(ts.Scenario, *ts.cfg, ll, bl)
-		ts.warm[[2]int{li, bi}] = warm
+		get = sync.OnceValue(func() []float64 {
+			ts.runs.Add(1)
+			return warmupTemps(ts.Scenario, *ts.cfg, ts.Grid[li], ts.Grid[bi])
+		})
+		ts.warm[[2]int{li, bi}] = get
 	}
-	p, err := measure(ts.Scenario, *ts.cfg, ll, bl, core, warm)
-	if err != nil {
-		return TracePoint{}, err
-	}
-	ts.points[k] = p
-	return p, nil
+	ts.mu.Unlock()
+	return get()
 }
 
 // fill reads every point of the grid, in (f_l, f_b, core) order, and
 // returns the set's points; a loaded set returns what its file held.
-// Once every key is present the set never writes to the map again, so
-// callers may range over it without the lock.
 func (ts *TraceSet) fill() (map[traceKey]TracePoint, error) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	if ts.cfg != nil {
 		for li := range ts.Grid {
 			for bi := range ts.Grid {
 				for _, core := range ts.FreeCores {
-					if _, err := ts.pointLocked(core, li, bi); err != nil {
+					if _, err := ts.Point(core, li, bi); err != nil {
 						return nil, err
 					}
 				}
 			}
 		}
 	}
-	return ts.points, nil
+	ts.mu.Lock()
+	gets := maps.Clone(ts.points)
+	ts.mu.Unlock()
+	points := make(map[traceKey]TracePoint, len(gets))
+	for k, get := range gets {
+		p, err := get()
+		if err != nil {
+			return nil, err
+		}
+		points[k] = p
+	}
+	return points, nil
 }
 
 // maxAoIIPS returns the highest AoI IPS among the points — the reference

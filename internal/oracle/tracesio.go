@@ -118,15 +118,14 @@ func LoadTraces(path string) (*TraceSet, error) {
 		Grid:      in.Grid,
 		NumCores:  in.NumCores,
 		FreeCores: scn.FreeCores(in.NumCores),
-		points:    make(map[traceKey]TracePoint, len(in.Points)),
+		points:    make(map[traceKey]func() (TracePoint, error), len(in.Points)),
 	}
 	for _, p := range in.Points {
 		if p.LI < 0 || p.LI >= len(in.Grid) || p.BI < 0 || p.BI >= len(in.Grid) {
 			return nil, fmt.Errorf("oracle: %s: point outside grid", path)
 		}
-		ts.points[traceKey{platform.CoreID(p.Core), p.LI, p.BI}] = TracePoint{
-			AoIIPS: p.AoIIPS, AoIL2DPS: p.AoIL2DPS, PeakTemp: p.PeakTemp,
-		}
+		tp := TracePoint{AoIIPS: p.AoIIPS, AoIL2DPS: p.AoIL2DPS, PeakTemp: p.PeakTemp}
+		ts.points[traceKey{platform.CoreID(p.Core), p.LI, p.BI}] = func() (TracePoint, error) { return tp, nil }
 	}
 	return ts, nil
 }

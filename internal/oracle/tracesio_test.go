@@ -23,11 +23,19 @@ func TestTracesSaveLoadRoundTrip(t *testing.T) {
 	if back.Scenario.AoI.Name != "adi" || back.NumCores != ts.NumCores {
 		t.Fatalf("scenario metadata lost: %+v", back.Scenario.AoI.Name)
 	}
-	if len(back.points) != len(ts.points) {
-		t.Fatalf("points %d, want %d", len(back.points), len(ts.points))
+	want, err := ts.fill()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, p := range ts.points {
-		q, ok := back.points[k]
+	got, err := back.fill()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("points %d, want %d", len(got), len(want))
+	}
+	for k, p := range want {
+		q, ok := got[k]
 		if !ok || q != p {
 			t.Fatalf("point %+v lost or changed: %+v vs %+v", k, p, q)
 		}

@@ -322,12 +322,6 @@ func (r *Runner) getObserve() func(string, core.EpochObservation) {
 	return r.observe
 }
 
-// Submit validates and enqueues a job under a runner-minted ID, returning
-// its snapshot.
-func (r *Runner) Submit(req SimRequest) (JobSnapshot, error) {
-	return r.SubmitID("", req)
-}
-
 // SubmitID validates and enqueues a job, returning its snapshot. A
 // non-empty id is used verbatim (the cluster router mints IDs so that
 // GET /v1/jobs/{id} shards to the same replica); an empty id gets a

@@ -44,7 +44,7 @@ func TestRunnerGovernorJob(t *testing.T) {
 	r := NewRunner(NewRegistry(t.TempDir()), 2, 8, nil, nil)
 	defer r.Shutdown(context.Background())
 
-	snap, err := r.Submit(quickSim("GTS/ondemand"))
+	snap, err := r.SubmitID("", quickSim("GTS/ondemand"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRunnerTOPILJobWithManifest(t *testing.T) {
 					{Name: spec.Name, TotalInstr: spec.TotalInstr * 0.01, QoS: 1e8, Arrival: 0.5},
 				},
 			}
-			snap, err := r.Submit(req)
+			snap, err := r.SubmitID("", req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRunnerValidation(t *testing.T) {
 		{Policy: "TOP-IL", Model: "tiny", Duration: 1},                      // wrong shape
 	}
 	for i, req := range cases {
-		if _, err := r.Submit(req); err == nil {
+		if _, err := r.SubmitID("", req); err == nil {
 			t.Errorf("case %d accepted: %+v", i, req)
 		}
 	}
@@ -139,7 +139,7 @@ func TestRunnerBackpressureAndCancel(t *testing.T) {
 	long := quickSim("GTS/powersave")
 	long.Duration = 3600 // would run for minutes of wall time if not canceled
 
-	running, err := r.Submit(long)
+	running, err := r.SubmitID("", long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestRunnerBackpressureAndCancel(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	queued, err := r.Submit(long)
+	queued, err := r.SubmitID("", long)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Submit(long); !errors.Is(err, ErrOverloaded) {
+	if _, err := r.SubmitID("", long); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third submit = %v, want ErrOverloaded", err)
 	}
 	if rejected, submitted := r.rejected.Value(), r.submitted.Value(); rejected != 1 || submitted != 2 {
@@ -184,7 +184,7 @@ func TestRunnerBackpressureAndCancel(t *testing.T) {
 	if r.Cancel("j-999999") {
 		t.Error("Cancel of unknown job returned true")
 	}
-	if _, err := r.Submit(long); !errors.Is(err, ErrClosed) {
+	if _, err := r.SubmitID("", long); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after shutdown = %v, want ErrClosed", err)
 	}
 }
@@ -193,7 +193,7 @@ func TestRunnerShutdownDrains(t *testing.T) {
 	r := NewRunner(NewRegistry(t.TempDir()), 2, 8, nil, nil)
 	ids := make([]string, 3)
 	for i := range ids {
-		snap, err := r.Submit(quickSim("GTS/ondemand"))
+		snap, err := r.SubmitID("", quickSim("GTS/ondemand"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,7 +250,7 @@ func TestRunnerRecoversFromStore(t *testing.T) {
 		t.Fatalf("interrupted job state = %s (%s)", final.State, final.Error)
 	}
 	// Runner-minted IDs must not collide with anything recovered.
-	snap, err := r.Submit(quickSimReq())
+	snap, err := r.SubmitID("", quickSimReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRunnerSeqAdvancesPastRecoveredIDs(t *testing.T) {
 	}
 	r := NewRunner(NewRegistry(t.TempDir()), 1, 4, nil, store)
 	defer r.Shutdown(context.Background())
-	snap, err := r.Submit(quickSimReq())
+	snap, err := r.SubmitID("", quickSimReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSubmitFailsWhenStoreFails(t *testing.T) {
 	store := &memStore{fail: true}
 	r := NewRunner(NewRegistry(t.TempDir()), 1, 4, nil, store)
 	defer r.Shutdown(context.Background())
-	if _, err := r.Submit(quickSimReq()); err == nil {
+	if _, err := r.SubmitID("", quickSimReq()); err == nil {
 		t.Fatal("submission succeeded without a durable queued record")
 	}
 	if len(r.List()) != 0 {
@@ -384,14 +384,14 @@ func TestOverloadCarriesRetryAfter(t *testing.T) {
 	// Heavy enough that the worker stays busy for seconds of wall time
 	// (the engine simulates small workloads far faster than real time).
 	slow := SimRequest{Policy: "GTS/ondemand", Duration: 86400, NumJobs: 512, Rate: 100, InstrScale: 100}
-	if _, err := s.runner.Submit(slow); err != nil {
+	if _, err := s.runner.SubmitID("", slow); err != nil {
 		t.Fatal(err)
 	}
 	// Let the single worker dequeue and start the hour-long job, then fill
 	// the queue behind it so the next submission must be shed.
 	time.Sleep(100 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		if _, err := s.runner.Submit(slow); errors.Is(err, ErrOverloaded) {
+		if _, err := s.runner.SubmitID("", slow); errors.Is(err, ErrOverloaded) {
 			break
 		}
 	}

@@ -98,26 +98,6 @@ func (l *LazyCounter) counter() *Counter {
 	return l.bind.get(func(r *Registry) *Counter { return r.Counter(l.Name, l.Help) })
 }
 
-// LazyGauge is the gauge analogue of LazyCounter.
-type LazyGauge struct {
-	Name string
-	Help string
-	bind lazyBind[*Gauge]
-}
-
-// Set replaces the gauge value (no-op without an installed registry).
-func (l *LazyGauge) Set(v float64) { l.gauge().Set(v) }
-
-// Add adjusts the gauge by v (no-op without an installed registry).
-func (l *LazyGauge) Add(v float64) { l.gauge().Add(v) }
-
-// Value returns the bound gauge's value (zero without a registry).
-func (l *LazyGauge) Value() float64 { return l.gauge().Value() }
-
-func (l *LazyGauge) gauge() *Gauge {
-	return l.bind.get(func(r *Registry) *Gauge { return r.Gauge(l.Name, l.Help) })
-}
-
 // LazyHistogram is the histogram analogue of LazyCounter. Buckets must be
 // set before first use (or the Observe falls into a single +Inf bucket).
 type LazyHistogram struct {
