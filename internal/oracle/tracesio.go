@@ -1,10 +1,12 @@
 package oracle
 
 import (
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/platform"
 	"repro/internal/workload"
@@ -41,7 +43,8 @@ type tracePointJSON struct {
 }
 
 // SaveTraces writes a trace set as gzipped JSON, first simulating every
-// point of an on-demand set not read yet.
+// point of an on-demand set not read yet. Points are written in (core, li,
+// bi) order, so the file is a function of the set alone.
 func SaveTraces(ts *TraceSet, path string) error {
 	points, err := ts.fill()
 	if err != nil {
@@ -61,6 +64,9 @@ func SaveTraces(ts *TraceSet, path string) error {
 			AoIIPS: p.AoIIPS, AoIL2DPS: p.AoIL2DPS, PeakTemp: p.PeakTemp,
 		})
 	}
+	slices.SortFunc(out.Points, func(a, b tracePointJSON) int {
+		return cmp.Or(cmp.Compare(a.Core, b.Core), cmp.Compare(a.LI, b.LI), cmp.Compare(a.BI, b.BI))
+	})
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +62,30 @@ func TestTracesSaveLoadRoundTrip(t *testing.T) {
 		if !sameExample(a[i], b[i]) {
 			t.Fatalf("example %d differs after trace round trip", i)
 		}
+	}
+}
+
+// TestSaveTracesDeterministic saves one collected set twice: the files
+// must be identical byte for byte, whatever the point map's iteration
+// order.
+func TestSaveTracesDeterministic(t *testing.T) {
+	ts, err := CollectTraces(paperScenario(t, "adi"), quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("traces-%d.json.gz", i))
+		if err := SaveTraces(ts, path); err != nil {
+			t.Fatal(err)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("saving one trace set twice wrote different files")
 	}
 }
 
