@@ -338,6 +338,17 @@ func BenchmarkEngineTick(b *testing.B) {
 	e.Run(nil, float64(b.N)*cfg.Dt)
 }
 
+// BenchmarkEngineTickIdle measures the cost per tick of an engine with no
+// application: the power, thermal, sensor and DTM work every tick pays,
+// which is most of a Fig. 8 pass's simulated time at low arrival rates.
+func BenchmarkEngineTickIdle(b *testing.B) {
+	cfg := sim.DefaultConfig(true, 25)
+	e := sim.New(cfg)
+	e.Run(nil, 1)
+	b.ResetTimer()
+	e.Run(nil, float64(b.N)*cfg.Dt)
+}
+
 // BenchmarkNNInference measures a single forward pass of the paper's 4×64
 // topology.
 func BenchmarkNNInference(b *testing.B) {

@@ -105,6 +105,11 @@ type GTS struct {
 	// RebalancePeriod is the scheduler's load-balancing interval.
 	RebalancePeriod float64
 	nextRebalance   float64
+
+	// apps and occ are reused between calls: the running applications and
+	// their count per core, refilled by occupancy.
+	apps []sim.AppView
+	occ  []int
 }
 
 // NewGTS pairs the GTS scheduler with a frequency policy. It panics on a
@@ -155,26 +160,35 @@ func (g *GTS) Attach(env *sim.Env) {
 // benchmark processes as performance-hungry and wakes them on the big
 // cluster when it has an idle core, else on the least-loaded core.
 func (g *GTS) Place(job workload.Job) platform.CoreID {
-	return g.pickCore(-1)
+	g.occupancy()
+	return g.pickCore()
 }
 
-// pickCore returns the GTS target core for a (re)placement, ignoring the
-// occupancy contribution of `self` (an AppID, or -1 for new arrivals):
-// the least-occupied big core if it beats everything, else the globally
-// least-occupied core, big cluster first on ties.
-func (g *GTS) pickCore(self sim.AppID) platform.CoreID {
+// occupancy refills g.apps with the running applications and g.occ with
+// their count per core.
+func (g *GTS) occupancy() {
+	g.apps = g.env.AppsInto(g.apps)
+	n := g.env.Platform().NumCores()
+	if cap(g.occ) < n {
+		g.occ = make([]int, n)
+	}
+	g.occ = g.occ[:n]
+	clear(g.occ)
+	for _, a := range g.apps {
+		g.occ[a.Core]++
+	}
+}
+
+// pickCore returns the GTS target core for a new arrival given the
+// occupancy in g.occ: the least-occupied big core if it beats everything,
+// else the globally least-occupied core, big cluster first on ties.
+func (g *GTS) pickCore() platform.CoreID {
 	plat := g.env.Platform()
 	best := platform.CoreID(-1)
 	bestN := 1 << 30
 	bestBig := false
-	for c := 0; c < plat.NumCores(); c++ {
+	for c, n := range g.occ {
 		core := platform.CoreID(c)
-		n := 0
-		for _, id := range g.env.AppsOnCore(core) {
-			if id != self {
-				n++
-			}
-		}
 		isBig := plat.KindOf(core) == platform.Big
 		if n < bestN || (n == bestN && isBig && !bestBig) {
 			best, bestN, bestBig = core, n, isBig
@@ -207,13 +221,10 @@ func (g *GTS) Tick(now float64) {
 // core to the least crowded when the imbalance exceeds one task).
 func (g *GTS) rebalance() {
 	plat := g.env.Platform()
-	apps := g.env.Apps()
+	g.occupancy()
+	apps, occ := g.apps, g.occ
 	if len(apps) == 0 {
 		return
-	}
-	occ := make([]int, plat.NumCores())
-	for _, a := range apps {
-		occ[a.Core]++
 	}
 
 	// Up-migration: fill idle big cores from LITTLE cores.

@@ -249,3 +249,25 @@ func TestGTSSchedutilRuns(t *testing.T) {
 		t.Errorf("schedutil violated %d targets at moderate load", res.Violations)
 	}
 }
+
+// TestGTSRebalanceDoesNotAllocate pins warmed-up load balancing and
+// placement to zero heap allocations: the application views and the
+// per-core counts live in buffers the manager keeps between calls.
+func TestGTSRebalanceDoesNotAllocate(t *testing.T) {
+	e := sim.New(sim.DefaultConfig(true, 25))
+	names := append(workload.TrainingSet(), "canneal", "dedup", "ferret")
+	for _, n := range names[:10] {
+		spec, _ := workload.ByName(n)
+		spec.TotalInstr = 1e18
+		e.AddJob(workload.Job{Spec: spec, QoS: 1e8})
+	}
+	g := NewGTS(Ondemand{UpThreshold: 0.8})
+	e.Run(g, 5)
+	allocs := testing.AllocsPerRun(100, func() {
+		g.rebalance()
+		g.Place(workload.Job{})
+	})
+	if allocs != 0 {
+		t.Fatalf("a rebalance and a placement allocate %.0f times, want 0", allocs)
+	}
+}

@@ -560,3 +560,24 @@ func BenchmarkNNTrain(b *testing.B) {
 		}
 	}
 }
+
+// TestPredictBatchAllocatesOnlyItsResult pins PredictBatch to two
+// allocations, the result's row headers and its values: the activation
+// scratch comes from a pool.
+func TestPredictBatchAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	m := NewMLP(PaperTopology(21, 8), 1)
+	xs := make([][]float64, 5) // one blocked group of four and one single row
+	for r := range xs {
+		xs[r] = make([]float64, 21)
+		for i := range xs[r] {
+			xs[r][i] = float64(r*21+i) * 0.01
+		}
+	}
+	m.PredictBatch(xs)
+	if allocs := testing.AllocsPerRun(100, func() { m.PredictBatch(xs) }); allocs != 2 {
+		t.Fatalf("PredictBatch allocates %.0f times, want 2 (the result only)", allocs)
+	}
+}

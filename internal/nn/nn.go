@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/telemetry"
 )
@@ -34,9 +35,10 @@ var forwardPasses = telemetry.LazyCounter{Name: "nn_forward_passes_total",
 // output layer.
 //
 // Concurrency: Predict, PredictBatch and the other read-only accessors
-// never mutate the network (each call allocates its own scratch;
-// the network holds none), so a trained MLP may be shared by any number of
-// goroutines — the serving layer's batcher depends on this. The guarantee
+// never mutate the network (each call allocates its scratch or takes it
+// from a process-wide pool; the network holds none), so a trained MLP may
+// be shared by any number of goroutines — the serving layer's batcher
+// depends on this. The guarantee
 // holds only while no goroutine concurrently mutates parameters (Train,
 // MapParams, CopyFrom, UnmarshalJSON); mutate a Clone instead.
 type MLP struct {
@@ -101,9 +103,14 @@ func (m *MLP) Predict(x []float64) []float64 {
 	return out
 }
 
+// batchScratch pools PredictBatch's activation scratch (8×the widest
+// layer), the one allocation of a batch that does not outlive the call.
+var batchScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // PredictBatch runs forward passes for several inputs; row r of the result
-// is bit-identical to Predict(xs[r]). It panics on a row whose dimension
-// does not match the network's input layer.
+// is bit-identical to Predict(xs[r]). It allocates only the result. It
+// panics on a row whose dimension does not match the network's input
+// layer.
 func (m *MLP) PredictBatch(xs [][]float64) [][]float64 {
 	for _, x := range xs {
 		m.checkInput(x)
@@ -115,7 +122,13 @@ func (m *MLP) PredictBatch(xs [][]float64) [][]float64 {
 	for r := range out {
 		out[r] = flat[r*outN : (r+1)*outN : (r+1)*outN]
 	}
-	m.forwardDense(xs, out, make([]float64, 8*m.width()))
+	sp := batchScratch.Get().(*[]float64)
+	n := 8 * m.width()
+	if len(*sp) < n {
+		*sp = make([]float64, n)
+	}
+	m.forwardDense(xs, out, (*sp)[:n])
+	batchScratch.Put(sp)
 	return out
 }
 

@@ -294,3 +294,16 @@ func TestTOPRLRejectsTriCluster(t *testing.T) {
 	})
 	e.Run(mgr, 0.1)
 }
+
+// TestEpochDoesNotAllocate pins a warmed-up migration epoch to zero heap
+// allocations: the platform snapshot, its views and the per-core counts
+// live in buffers the manager keeps between epochs.
+func TestEpochDoesNotAllocate(t *testing.T) {
+	mgr := New(NewQTable(8), DefaultParams(), 1)
+	e := sim.New(sim.DefaultConfig(true, 25))
+	addApps(e, []string{"adi", "seidel-2d", "canneal", "ferret"}, 0.3)
+	e.Run(mgr, 30)
+	if allocs := testing.AllocsPerRun(100, mgr.epoch); allocs != 0 {
+		t.Fatalf("a migration epoch allocates %.0f times, want 0", allocs)
+	}
+}

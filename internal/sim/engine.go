@@ -179,7 +179,9 @@ func winAvg(w []float64, n int) float64 {
 func (a *appState) pushWindow(ips, l2d float64) {
 	a.winIPS[a.winNext] = ips
 	a.winL2D[a.winNext] = l2d
-	a.winNext = (a.winNext + 1) % len(a.winIPS)
+	if a.winNext++; a.winNext == len(a.winIPS) {
+		a.winNext = 0
+	}
 	if a.winLen < len(a.winIPS) {
 		a.winLen++
 	}
@@ -202,6 +204,7 @@ type Engine struct {
 
 	apps   []*appState // all instances, arrived or done
 	byCore [][]AppID   // running app IDs per core
+	live   int         // arrived, unfinished apps (Done without a scan)
 
 	freqIdx []int // current VF level per cluster
 	dtmCap  []int // max VF level allowed by DTM per cluster
@@ -211,12 +214,17 @@ type Engine struct {
 	// manager/sensor/DTM cadences are tick multiples. Accumulating floats
 	// (now += dt) drifts over long runs — after hours of simulated time the
 	// 500 ms epochs fall off the paper's schedule and runs stop being
-	// bit-reproducible across different Run() call patterns.
+	// bit-reproducible across different Run() call patterns. Each cadence
+	// keeps the tick of its next firing (the multiples of its period, from
+	// tick 0), so a tick tests it with one comparison instead of a division.
 	tick         int64
 	now          float64 // tick·Dt, cached for the float-time consumers
 	managerEvery int64   // manager period in ticks
 	sensorEvery  int64   // sensor period in ticks
 	dtmEvery     int64   // DTM period in ticks
+	managerAt    int64   // next manager tick
+	sensorAt     int64   // next sensor sample
+	dtmAt        int64   // next DTM decision
 	managerFires int64   // lifetime fire counts (tick-clock regression tests)
 	sensorFires  int64
 	dtmFires     int64
@@ -225,26 +233,34 @@ type Engine struct {
 	overheadDebt float64 // seconds of management overhead to charge to core 0
 
 	corePower []float64 // scratch: power per thermal node
-	coreUtil  [][]float64
-	coreUtilN int
-	utilNext  int
+	// coreUtil is a ring of the last WindowTicks per-core busy fractions,
+	// one row of NumCores entries per tick: this tick writes row utilSlot,
+	// and utilLen counts the filled rows (the ring is full after the first
+	// WindowTicks ticks).
+	coreUtil []float64
+	utilSlot int
+	utilLen  int
 
 	// Incrementally maintained per-core structures: byCore holds exactly
 	// the live (arrived, unfinished) apps of each core, liveCnt mirrors its
 	// lengths for placement, maxStall is a high-water mark over the pending
 	// migration-stall deadlines (when it has passed, every app on the core
 	// is runnable and the per-tick stall scan is skipped), and powerCnt is
-	// the post-completion runnable count execute hands to integrate and the
-	// metrics sampler so neither rescans membership.
+	// the post-completion runnable count of this tick's execute pass;
+	// busyIn[ci] counts the cores of cluster ci with powerCnt > 0, which
+	// is all the metrics sampler needs.
 	clusterOf []int     // core -> cluster index (static topology)
 	liveCnt   []int     // live apps per core (== len(byCore[c]))
 	maxStall  []float64 // upper bound on stallUntil over apps of the core
 	powerCnt  []int     // runnable apps per core as of this tick's execute
+	busyIn    []int     // cores with runnable apps per cluster, this tick
 
-	// perfEpoch invalidates the per-app perf caches and the compiled power
-	// evaluators: it bumps whenever an effective VF level may have changed
-	// (userspace DVFS requests, DTM cap moves).
+	// perfEpoch invalidates the per-app perf caches, the effective VF
+	// levels and the compiled power evaluators: it bumps whenever an
+	// effective VF level may have changed (userspace DVFS requests, DTM
+	// cap moves). levels re-derives effIdx and powEval when it has moved.
 	perfEpoch    int64
+	effIdx       []int            // effective VF level per cluster
 	powEval      []power.CoreEval // per-cluster compiled evaluators
 	powEvalEpoch int64
 
@@ -291,6 +307,8 @@ func New(cfg Config) *Engine {
 		liveCnt:      make([]int, cfg.Platform.NumCores()),
 		maxStall:     make([]float64, cfg.Platform.NumCores()),
 		powerCnt:     make([]int, cfg.Platform.NumCores()),
+		busyIn:       make([]int, cfg.Platform.NumClusters()),
+		effIdx:       make([]int, cfg.Platform.NumClusters()),
 		powEval:      make([]power.CoreEval, cfg.Platform.NumClusters()),
 		powEvalEpoch: -1,
 		sensorT:      cfg.Thermal.Max(),
@@ -308,11 +326,7 @@ func New(cfg Config) *Engine {
 		e.freqIdx[ci] = 0
 		e.dtmCap[ci] = c.NumOPPs() - 1
 	}
-	e.coreUtilN = cfg.WindowTicks
-	e.coreUtil = make([][]float64, cfg.Platform.NumCores())
-	for i := range e.coreUtil {
-		e.coreUtil[i] = make([]float64, e.coreUtilN)
-	}
+	e.coreUtil = make([]float64, cfg.WindowTicks*cfg.Platform.NumCores())
 	e.mets = newCollector(cfg.Platform)
 	e.env = &Env{engine: e}
 	e.tel = newEngineMetrics(cfg.Telemetry)
@@ -355,15 +369,7 @@ func (e *Engine) Env() *Env { return e.env }
 // Done reports whether every scheduled application has arrived and
 // finished.
 func (e *Engine) Done() bool {
-	if e.pendHead < len(e.pending) {
-		return false
-	}
-	for _, a := range e.apps {
-		if !a.done {
-			return false
-		}
-	}
-	return true
+	return e.pendHead == len(e.pending) && e.live == 0
 }
 
 // Now returns the current simulated time in seconds.
@@ -385,11 +391,6 @@ func (e *Engine) RunUntil(m Manager, duration float64, stop func() bool) *Result
 	e.trace.traceRunStart(e, m)
 	end := e.tick + int64(math.Ceil(duration/e.cfg.Dt-1e-9))
 	for e.tick < end {
-		if m != nil && e.tick%e.managerEvery == 0 {
-			e.managerFires++
-			e.tel.managerTicks.Inc()
-			m.Tick(e.now)
-		}
 		e.step(m)
 		if stop != nil && stop() {
 			break
@@ -399,10 +400,19 @@ func (e *Engine) RunUntil(m Manager, duration float64, stop func() bool) *Result
 	return e.mets.result(e)
 }
 
-// step advances the simulation by one tick. With Config.PhaseClock set,
-// the wall-clock cost of each phase feeds sim_phase_seconds; the clock is
+// step advances the simulation by one tick, first running the manager if
+// its period falls on this tick. With Config.PhaseClock set, the
+// wall-clock cost of each phase feeds sim_phase_seconds; the clock is
 // never read otherwise, keeping the default path deterministic and free.
 func (e *Engine) step(m Manager) {
+	if e.tick == e.managerAt {
+		e.managerAt += e.managerEvery
+		if m != nil {
+			e.managerFires++
+			e.tel.managerTicks.Inc()
+			m.Tick(e.now)
+		}
+	}
 	dt := e.cfg.Dt
 	var mark float64
 	timed := e.cfg.PhaseClock != nil
@@ -426,20 +436,22 @@ func (e *Engine) step(m Manager) {
 		e.pendHead = 0
 	}
 
-	// 2. Execute applications with per-core time sharing.
+	// 2. Execute applications with per-core time sharing, and derive each
+	// core's power from it.
 	e.execute(dt)
 	if timed {
 		mark = e.phaseMark(e.tel.phaseExecute, mark)
 	}
 
-	// 3. Power and thermal integration.
+	// 3. Thermal integration.
 	e.integrate(dt)
 	if timed {
 		mark = e.phaseMark(e.tel.phaseThermal, mark)
 	}
 
 	// 4. Sensor sampling (20 Hz).
-	if e.tick%e.sensorEvery == 0 {
+	if e.tick == e.sensorAt {
+		e.sensorAt += e.sensorEvery
 		e.sensorFires++
 		e.tel.sensorSamples.Inc()
 		e.sensorT = e.readSensor()
@@ -450,10 +462,13 @@ func (e *Engine) step(m Manager) {
 	}
 
 	// 5. DTM.
-	if e.cfg.DTM.Enable && e.tick%e.dtmEvery == 0 {
-		e.dtmFires++
-		e.tel.dtmDecisions.Inc()
-		e.dtmStep()
+	if e.tick == e.dtmAt {
+		e.dtmAt += e.dtmEvery
+		if e.cfg.DTM.Enable {
+			e.dtmFires++
+			e.tel.dtmDecisions.Inc()
+			e.dtmStep()
+		}
 	}
 	if timed {
 		e.phaseMark(e.tel.phaseDTM, mark)
@@ -498,6 +513,7 @@ func (e *Engine) admit(job workload.Job, m Manager) {
 	e.apps = append(e.apps, a)
 	e.byCore[core] = append(e.byCore[core], a.id)
 	e.liveCnt[core]++
+	e.live++
 	e.tel.arrivals.Inc()
 	e.tel.appsRunning.Add(1)
 	e.trace.traceAdmit(e, a)
@@ -517,7 +533,13 @@ func (e *Engine) leastLoadedCore() platform.CoreID {
 	return best
 }
 
-// execute advances every running application by dt seconds of core time.
+// execute advances every running application by dt seconds of core time
+// and sets each core's power for this tick from the pre-step temperatures
+// (read straight out of the kernel's state through TempsView, no copy),
+// accumulating it into the per-cluster energy in core order. One pass per
+// core does both: while no application completes in a tick, the activity
+// terms sum as the applications run; a core where one completes sums them
+// again over the survivors. An empty core costs only its power term.
 func (e *Engine) execute(dt float64) {
 	// Management overhead consumes time on core 0 (the paper's
 	// implementation is single-threaded).
@@ -532,104 +554,181 @@ func (e *Engine) execute(dt float64) {
 		e.mets.overheadCharged += used
 	}
 
+	e.levels()
+	nc := len(e.byCore)
+	utilRow := e.coreUtil[e.utilSlot*nc : e.utilSlot*nc+nc]
+	temps := e.cfg.Thermal.TempsView()[:nc] // consumed before Step mutates it
+	clusterOf, powerCnt, corePower := e.clusterOf[:nc], e.powerCnt[:nc], e.corePower[:nc]
+	powEval, busyIn, energy := e.powEval, e.busyIn, e.mets.energyJ
+	// Energy sums per cluster in core order; the running sum of a run of
+	// same-cluster cores stays in a register between them.
+	eCl, eAcc := -1, 0.0
 	tickEnd := e.now + dt
-	for c := range e.byCore {
-		ids := e.byCore[c]
+	for c, ids := range e.byCore {
+		ci := clusterOf[c]
+		activity := 0.0
 		if len(ids) == 0 {
-			e.pushCoreUtil(c, 0)
-			e.powerCnt[c] = 0
+			utilRow[c] = 0
+			powerCnt[c] = 0
+		} else {
+			scale := 1.0
+			if c == 0 {
+				scale = core0Scale
+			}
+			activity, utilRow[c] = e.runCore(c, ids, scale, dt, tickEnd)
+			if powerCnt[c] > 0 {
+				busyIn[ci]++
+			}
+		}
+		p := powEval[ci].Power(activity, temps[c])
+		corePower[c] = p
+		if ci != eCl {
+			if eCl >= 0 {
+				energy[eCl] = eAcc
+			}
+			eCl, eAcc = ci, energy[ci]
+		}
+		eAcc += p * dt
+	}
+	if eCl >= 0 {
+		energy[eCl] = eAcc
+	}
+}
+
+// runCore advances the live applications ids of core c by one tick at the
+// given core-0 overhead scale and sets powerCnt[c]. It returns the core's
+// activity factor for the power model — the sum, in membership order, of
+// share·CycleUtilization over the runnable survivors of the tick, share
+// being 1/powerCnt[c] — and its busy fraction for the utilization ring.
+func (e *Engine) runCore(c int, ids []AppID, scale, dt, tickEnd float64) (activity, util float64) {
+	// Runnable = live and not stalled by migration for the whole tick
+	// (partially stalled apps run for the remainder). byCore holds
+	// exactly the live apps, so unless a stall deadline is still
+	// pending — the per-core high-water mark has not passed — the
+	// count needs no scan at all.
+	runnableN := len(ids)
+	if e.maxStall[c] >= tickEnd {
+		runnableN = 0
+		for _, id := range ids {
+			if e.apps[id].stallUntil < tickEnd {
+				runnableN++
+			}
+		}
+	}
+	share := 0.0
+	if runnableN > 0 {
+		share = 1 / float64(runnableN)
+		util = scale
+	}
+
+	// Completions are deferred to a single in-place compaction below so
+	// the loop iterates byCore[c] directly, without the defensive
+	// snapshot copy the old mutate-while-iterating removal needed.
+	nDone := 0
+	for _, id := range ids {
+		a := e.apps[id]
+		if a.stallUntil >= tickEnd {
+			a.pushWindow(0, 0)
 			continue
 		}
-		// Runnable = live and not stalled by migration for the whole tick
-		// (partially stalled apps run for the remainder). byCore holds
-		// exactly the live apps, so unless a stall deadline is still
-		// pending — the per-core high-water mark has not passed — the
-		// count needs no scan at all.
-		runnableN := len(ids)
-		if e.maxStall[c] >= tickEnd {
-			runnableN = 0
-			for _, id := range ids {
-				if e.apps[id].stallUntil < tickEnd {
-					runnableN++
-				}
-			}
+		// avail is the stall-free fraction of this tick (cold-cache
+		// penalties are shorter than a tick, so they must not be
+		// rounded up to whole ticks).
+		avail := 1.0
+		if a.stallUntil > e.now {
+			avail = (e.now + dt - a.stallUntil) / dt
 		}
-		share := 0.0
-		if runnableN > 0 {
-			share = 1 / float64(runnableN)
+		if a.pcEpoch != e.perfEpoch || a.executed >= a.pcEnd {
+			e.refreshPerfCache(a)
 		}
-		scale := 1.0
-		if c == 0 {
-			scale = core0Scale
+		ips := share / a.pcTpi * scale * avail
+		instr := ips * dt
+		if a.executed+instr >= a.job.Spec.TotalInstr {
+			// Completion within this tick.
+			remain := a.job.Spec.TotalInstr - a.executed
+			frac := remain / instr
+			instr = remain
+			a.done = true
+			a.end = e.now + frac*dt
+			nDone++
+			e.live--
+			e.tel.completions.Inc()
+			e.tel.appsRunning.Add(-1)
+			e.trace.traceComplete(a)
 		}
-		util := 0.0
-		if runnableN > 0 {
-			util = scale
-		}
-		e.pushCoreUtil(c, util)
-
-		// Completions are deferred to a single in-place compaction below so
-		// the loop iterates byCore[c] directly, without the defensive
-		// snapshot copy the old mutate-while-iterating removal needed.
-		nDone := 0
-		for _, id := range ids {
-			a := e.apps[id]
-			if a.stallUntil >= tickEnd {
-				a.pushWindow(0, 0)
-				continue
-			}
-			// avail is the stall-free fraction of this tick (cold-cache
-			// penalties are shorter than a tick, so they must not be
-			// rounded up to whole ticks).
-			avail := 1.0
-			if a.stallUntil > e.now {
-				avail = (e.now + dt - a.stallUntil) / dt
-			}
-			if a.pcEpoch != e.perfEpoch || a.executed >= a.pcEnd {
+		a.executed += instr
+		a.instrTotal += instr
+		a.pushWindow(ips, a.pcL2pi*ips)
+		if nDone == 0 {
+			// The power model reads the phase the app is in after this
+			// tick's progress.
+			if a.executed >= a.pcEnd {
 				e.refreshPerfCache(a)
 			}
-			ips := share / a.pcTpi * scale * avail
-			instr := ips * dt
-			if a.executed+instr >= a.job.Spec.TotalInstr {
-				// Completion within this tick.
-				remain := a.job.Spec.TotalInstr - a.executed
-				frac := remain / instr
-				instr = remain
-				a.done = true
-				a.end = e.now + frac*dt
-				nDone++
-				e.tel.completions.Inc()
-				e.tel.appsRunning.Add(-1)
-				e.trace.traceComplete(a)
-			}
-			a.executed += instr
-			a.instrTotal += instr
-			a.pushWindow(ips, a.pcL2pi*ips)
+			activity += share * a.pcCu
 		}
-		if nDone > 0 {
-			out := ids[:0]
-			for _, id := range ids {
-				if !e.apps[id].done {
-					out = append(out, id)
-				}
-			}
-			e.byCore[c] = out
-			e.liveCnt[c] -= nDone
-		}
-		e.powerCnt[c] = runnableN - nDone
 	}
+	e.powerCnt[c] = runnableN - nDone
+	if nDone == 0 {
+		return activity, util
+	}
+	out := ids[:0]
+	for _, id := range ids {
+		if !e.apps[id].done {
+			out = append(out, id)
+		}
+	}
+	e.byCore[c] = out
+	e.liveCnt[c] -= nDone
+	activity = 0.0
+	if n := e.powerCnt[c]; n > 0 {
+		share := 1 / float64(n)
+		for _, id := range out {
+			a := e.apps[id]
+			if a.stallUntil >= tickEnd {
+				continue
+			}
+			if a.executed >= a.pcEnd {
+				e.refreshPerfCache(a)
+			}
+			activity += share * a.pcCu
+		}
+	}
+	return activity, util
+}
+
+// levels re-derives the effective VF level and the compiled power
+// evaluator of every cluster after perfEpoch has moved.
+func (e *Engine) levels() {
+	if e.powEvalEpoch != e.perfEpoch {
+		e.compileLevels()
+	}
+}
+
+func (e *Engine) compileLevels() {
+	for ci, cluster := range e.cfg.Platform.Clusters {
+		idx := e.freqIdx[ci]
+		if idx > e.dtmCap[ci] {
+			idx = e.dtmCap[ci]
+		}
+		e.effIdx[ci] = idx
+		e.powEval[ci] = e.cfg.Power.Compile(cluster.Kind,
+			cluster.FreqAt(idx), cluster.VoltageAt(idx))
+	}
+	e.powEvalEpoch = e.perfEpoch
 }
 
 // refreshPerfCache re-derives an app's cached CPI-stack terms from the
 // ground truth (PhaseAt via PhaseSpanAt, plus the perf model at the app's
 // current cluster and effective frequency). Every cached value is exactly
 // the float64 the uncached per-tick path would compute — the cache only
-// removes redundant recomputation, never changes results.
+// removes redundant recomputation, never changes results. The effective
+// levels must be current (levels has run since perfEpoch last moved).
 func (e *Engine) refreshPerfCache(a *appState) {
 	ph, end := a.job.Spec.PhaseSpanAt(a.executed)
 	cid := e.clusterOf[a.core]
 	cluster := e.cfg.Platform.Clusters[cid]
-	f := cluster.FreqAt(e.effFreqIdx(cid))
+	f := cluster.FreqAt(e.effIdx[cid])
 	a.pcTpi = e.cfg.Perf.TimePerInstr(ph, cluster.Kind, f)
 	a.pcCu = e.cfg.Perf.CycleUtilization(ph, cluster.Kind, f)
 	a.pcL2pi = ph.L2APKI / 1000
@@ -637,51 +736,21 @@ func (e *Engine) refreshPerfCache(a *appState) {
 	a.pcEpoch = e.perfEpoch
 }
 
-func (e *Engine) pushCoreUtil(c int, u float64) {
-	e.coreUtil[c][e.utilNext%e.coreUtilN] = u
-}
-
-// integrate computes per-node power and steps the thermal network. The
-// fused pass reads the pre-step temperatures straight out of the kernel's
-// state (TempsView) for the leakage feedback — no intermediate copy — and
-// reuses the runnable counts execute just produced instead of rescanning
-// the per-core membership.
+// integrate steps the thermal network under the core powers execute set
+// and the uncore power on the last node (package), then advances the
+// utilization ring.
 func (e *Engine) integrate(dt float64) {
-	if e.powEvalEpoch != e.perfEpoch {
-		for ci, cluster := range e.cfg.Platform.Clusters {
-			idx := e.effFreqIdx(ci)
-			e.powEval[ci] = e.cfg.Power.Compile(cluster.Kind,
-				cluster.FreqAt(idx), cluster.VoltageAt(idx))
-		}
-		e.powEvalEpoch = e.perfEpoch
-	}
-	temps := e.cfg.Thermal.TempsView() // consumed before Step mutates it
-	tickEnd := e.now + dt
-	numCores := e.cfg.Platform.NumCores()
-	for c := 0; c < numCores; c++ {
-		activity := 0.0
-		if n := e.powerCnt[c]; n > 0 {
-			share := 1 / float64(n)
-			for _, id := range e.byCore[c] {
-				a := e.apps[id]
-				if a.stallUntil >= tickEnd {
-					continue
-				}
-				if a.pcEpoch != e.perfEpoch || a.executed >= a.pcEnd {
-					e.refreshPerfCache(a)
-				}
-				activity += share * a.pcCu
-			}
-		}
-		e.corePower[c] = e.powEval[e.clusterOf[c]].Power(activity, temps[c])
-	}
-	for i := numCores; i < len(e.corePower); i++ {
+	for i := len(e.byCore); i < len(e.corePower); i++ {
 		e.corePower[i] = 0
 	}
-	// Uncore power goes to the last thermal node (package).
 	e.corePower[len(e.corePower)-1] += e.cfg.Power.Uncore
 	e.cfg.Thermal.Step(e.corePower, dt)
-	e.utilNext++
+	if e.utilSlot++; e.utilSlot == e.cfg.WindowTicks {
+		e.utilSlot = 0
+	}
+	if e.utilLen < e.cfg.WindowTicks {
+		e.utilLen++
+	}
 }
 
 // readSensor returns the on-board sensor reading: the hottest core
@@ -732,15 +801,6 @@ func (e *Engine) dtmStep() {
 		e.tel.throttleSeconds.Add(e.cfg.DTM.Period)
 	}
 	e.trace.traceDTM(e, e.tripped)
-}
-
-// effFreqIdx returns the requested VF level clamped by the DTM cap.
-func (e *Engine) effFreqIdx(ci int) int {
-	idx := e.freqIdx[ci]
-	if idx > e.dtmCap[ci] {
-		idx = e.dtmCap[ci]
-	}
-	return idx
 }
 
 func (e *Engine) removeFromCore(id AppID, core platform.CoreID) {

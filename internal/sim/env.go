@@ -61,16 +61,13 @@ func (v *Env) AppsInto(dst []AppView) []AppView {
 // CoreUtil returns the busy fraction of core c over the perf window.
 func (v *Env) CoreUtil(c platform.CoreID) float64 {
 	e := v.engine
-	n := e.utilNext
-	if n > e.coreUtilN {
-		n = e.coreUtilN
-	}
+	n := e.utilLen
 	if n == 0 {
 		return 0
 	}
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += e.coreUtil[c][i]
+		sum += e.coreUtil[i*len(e.byCore)+int(c)]
 	}
 	return sum / float64(n)
 }

@@ -175,6 +175,7 @@ func (n *Network) Step(power []float64, dt float64) {
 		pr = n.buildPropagator(dt) // cold path: mutation or new dt
 	}
 	pr.step(n.t, power)
+	n.t, pr.tNew = pr.tNew, n.t
 }
 
 // Temps returns a copy of the current node temperatures in °C. Hot paths
@@ -183,8 +184,10 @@ func (n *Network) Temps() []float64 { return append([]float64(nil), n.t...) }
 
 // TempsView returns the live node-temperature slice in °C without copying.
 // The slice aliases network state: callers must treat it as read-only and
-// must not retain it across mutations of the network from other
-// goroutines. It exists for the per-tick fused power→thermal→sensor path,
+// must not retain it across mutations of the network (Step writes the new
+// temperatures to a second buffer and swaps the two: a view retained
+// across a Step holds the previous temperatures until the next Step
+// overwrites it). It exists for the per-tick fused power→thermal→sensor path,
 // where even a 9-element copy per tick is measurable.
 func (n *Network) TempsView() []float64 { return n.t }
 

@@ -283,12 +283,13 @@ echo "== coverage gate"
 ./scripts/coverage_gate.sh
 echo "== hot-path allocation gate (0 allocs/op)"
 # The //hot annotations are gated statically by topil-lint's hotalloc pass;
-# this is the dynamic counterpart on the two per-tick kernels and on one
+# this is the dynamic counterpart on the per-tick kernels (the thermal
+# step, the engine tick with and without applications) and on one
 # warm-workspace training minibatch, so an allocation that sneaks past
 # escape-analysis reasoning still fails here. The minibatch runs at -cpu
 # 1 and 4: inline on the calling goroutine, and split across workers.
 for spec in "./internal/thermal BenchmarkNetworkStep" ". BenchmarkEngineTick" \
-    "./internal/nn BenchmarkNNTrainStep -cpu=1,4"; do
+    ". BenchmarkEngineTickIdle" "./internal/nn BenchmarkNNTrainStep -cpu=1,4"; do
     set -- $spec
     pkg=$1; bench=$2; shift 2
     lines=$(go test -run '^$' -bench "^${bench}\$" -benchmem -benchtime 200x "$@" "$pkg" \
