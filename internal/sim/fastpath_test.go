@@ -20,11 +20,25 @@ func scanLeastLoaded(e *Engine) platform.CoreID {
 	return best
 }
 
+// scanDone is the scan-based Done reference: every job has arrived and
+// every arrived app has finished.
+func scanDone(e *Engine) bool {
+	if e.pendHead < len(e.pending) {
+		return false
+	}
+	for _, a := range e.apps {
+		if !a.done {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPlacementMatchesScanReference drives a chaotic workload (random
 // migrations, completions, arrivals) and checks after every tick that the
-// incrementally maintained per-core counts agree with the membership lists
-// and that leastLoadedCore picks exactly the core the scan-based reference
-// would.
+// incrementally maintained per-core counts agree with the membership lists,
+// that leastLoadedCore picks exactly the core the scan-based reference
+// would, and that Done's live-application count agrees with a scan.
 func TestPlacementMatchesScanReference(t *testing.T) {
 	cfg := DefaultConfig(true, 25)
 	cfg.Seed = 11
@@ -53,6 +67,9 @@ func TestPlacementMatchesScanReference(t *testing.T) {
 		}
 		if got, want := e.leastLoadedCore(), scanLeastLoaded(e); got != want {
 			t.Fatalf("tick %d: leastLoadedCore = %d, scan reference = %d", ticks, got, want)
+		}
+		if got, want := e.Done(), scanDone(e); got != want {
+			t.Fatalf("tick %d: Done = %v, scan reference = %v", ticks, got, want)
 		}
 		return false
 	})
