@@ -49,9 +49,8 @@ fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzPackageManifest$$' -fuzztime=10s
 
 # Policy-result regression gate: run the committed conformance packages'
-# golden metric envelopes (docs/CONFORMANCE.md) offline at -j1 and -j8 —
-# the reports must be byte-identical at any worker count. Offline, their
-# /v1 wire-contract checks report skip.
+# golden metric envelopes (docs/CONFORMANCE.md) at -j1 and -j8 — the
+# reports must be byte-identical at any worker count.
 conformance:
 	./scripts/check.sh conformance
 

@@ -37,10 +37,10 @@ func validateBinary(t *testing.T) string {
 	return binPath
 }
 
-// govManifest is a governor-only package: no trained artifacts, no API
-// checks, so the smoke tests stay fast and offline.
+// govManifest is a governor-only package: no trained artifacts, so the
+// smoke tests stay fast.
 const govManifest = `{
-  "schemaVersion": 2,
+  "schemaVersion": 3,
   "name": "smoke",
   "scenarios": [
     {

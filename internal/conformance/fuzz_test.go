@@ -17,7 +17,7 @@ func FuzzPackageManifest(f *testing.F) {
 	f.Add([]byte(goodManifest))
 	f.Add([]byte(goodManifest[:len(goodManifest)/3]))
 	f.Add([]byte(`{"schemaVersion": 42, "name": "x", "scenarios": []}`))
-	f.Add([]byte(`{"schemaVersion": 2, "name": "b", "scenarios": [{"name": "s",
+	f.Add([]byte(`{"schemaVersion": 3, "name": "b", "scenarios": [{"name": "s",
 		"duration": 5, "techniques": ["TOP-RL"], "envelopes": [
 		{"metric": "energyJ", "technique": "TOP-RL", "min": 9, "max": 1, "boundary": "b"}]}]}`))
 	f.Add([]byte("{}"))

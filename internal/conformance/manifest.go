@@ -16,11 +16,11 @@ import (
 // ManifestVersion is the schema version this build reads. Packages carry
 // the version explicitly so a future format change fails loudly instead of
 // silently misreading old packages.
-const ManifestVersion = 2
+const ManifestVersion = 3
 
 // Manifest is the versioned root of a conformance package: a named set of
 // scenarios, each pairing techniques × backends with golden metric
-// envelopes, plus the /v1 API checks the package requests.
+// envelopes.
 type Manifest struct {
 	SchemaVersion int    `json:"schemaVersion"`
 	Name          string `json:"name"`
@@ -28,11 +28,6 @@ type Manifest struct {
 
 	// Scenarios are run independently; each is one simulated workload.
 	Scenarios []Scenario `json:"scenarios"`
-
-	// APIChecks names live /v1 wire-contract checks to run against a
-	// serve instance (see APICheckNames). Empty means none: offline-only
-	// packages stay runnable without a server.
-	APIChecks []string `json:"apiChecks,omitempty"`
 }
 
 // Scenario describes one simulated workload cell matrix: every listed
@@ -257,11 +252,6 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 	}
 	if len(m.Scenarios) == 0 {
 		add("", "package has no scenarios")
-	}
-	for _, c := range m.APIChecks {
-		if !apiCheckKnown(c) {
-			add("", "unknown API check %q (have %s)", c, strings.Join(APICheckNames(), ", "))
-		}
 	}
 
 	seen := map[string]bool{}

@@ -13,7 +13,7 @@ import (
 // goodManifest is a minimal valid package manifest used as the base of the
 // negative-path table; each test case perturbs one aspect of it.
 const goodManifest = `{
-  "schemaVersion": 2,
+  "schemaVersion": 3,
   "name": "demo",
   "description": "negative-path base",
   "scenarios": [
@@ -31,8 +31,7 @@ const goodManifest = `{
         }
       ]
     }
-  ],
-  "apiChecks": ["healthz"]
+  ]
 }`
 
 func TestParseManifestAcceptsGood(t *testing.T) {
@@ -78,9 +77,17 @@ func TestParseManifestNegativePaths(t *testing.T) {
 		},
 		{
 			name: "unknown-schema-version",
-			old:  `"schemaVersion": 2`,
+			old:  `"schemaVersion": 3`,
 			doc:  `"schemaVersion": 99`,
-			want: []string{"unknown schema version 99", "reads version 2"},
+			want: []string{"unknown schema version 99", "reads version 3"},
+		},
+		{
+			// Version 2 let a package request live /v1 checks; the
+			// field is gone, so such a manifest fails strict decoding.
+			name: "v2-api-checks",
+			old:  `"schemaVersion": 3,`,
+			doc:  `"schemaVersion": 2, "apiChecks": ["healthz"],`,
+			want: []string{`manifest.json:1: manifest: json: unknown field "apiChecks"`},
 		},
 		{
 			name: "bad-package-name",
@@ -214,12 +221,6 @@ func TestParseManifestNegativePaths(t *testing.T) {
 			doc:  `"boundary": "  "`,
 			want: []string{"no applicability boundary note"},
 		},
-		{
-			name: "unknown-api-check",
-			old:  `"apiChecks": ["healthz"]`,
-			doc:  `"apiChecks": ["teleport"]`,
-			want: []string{`unknown API check "teleport"`},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,7 +250,7 @@ func TestParseManifestNegativePaths(t *testing.T) {
 // the envelope's.
 func TestDiagnosticLines(t *testing.T) {
 	doc := "{\n" + // line 1
-		`  "schemaVersion": 2,` + "\n" + // 2
+		`  "schemaVersion": 3,` + "\n" + // 2
 		`  "name": "demo",` + "\n" + // 3
 		`  "scenarios": [` + "\n" + // 4
 		`    {` + "\n" + // 5 <- scenarios[0]
@@ -319,7 +320,7 @@ func TestLoadPackageAndDir(t *testing.T) {
 
 	// LoadDir aggregates diagnostics across broken packages instead of
 	// stopping at the first.
-	write("broken-a", strings.Replace(goodManifest, `"name": "demo"`, `"name": "broken-a", "schemaVersion": 3`, 1))
+	write("broken-a", strings.Replace(goodManifest, `"name": "demo"`, `"name": "broken-a", "schemaVersion": 99`, 1))
 	write("broken-b", "{")
 	_, err = LoadDir(root)
 	if err == nil {
@@ -367,17 +368,5 @@ func TestNameCatalogs(t *testing.T) {
 		if metrics[i-1] >= metrics[i] {
 			t.Fatalf("MetricNames not sorted: %v", metrics)
 		}
-	}
-	checks := APICheckNames()
-	if len(checks) == 0 || checks[0] != "healthz" {
-		t.Fatalf("APICheckNames = %v", checks)
-	}
-	for _, c := range checks {
-		if !apiCheckKnown(c) {
-			t.Errorf("apiCheckKnown(%q) = false", c)
-		}
-	}
-	if apiCheckKnown("nope") {
-		t.Error(`apiCheckKnown("nope") = true`)
 	}
 }

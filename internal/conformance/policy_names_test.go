@@ -51,7 +51,7 @@ func TestGTSNamesResolveEverywhere(t *testing.T) {
 
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			doc := `{"schemaVersion": 2, "name": "policies", "scenarios": [{"name": "s",
+			doc := `{"schemaVersion": 3, "name": "policies", "scenarios": [{"name": "s",
 				"duration": 1, "techniques": ["` + name + `"],
 				"envelopes": [{"metric": "peakTempC", "technique": "` + name + `",
 				"min": 0, "max": 200, "boundary": "any"}]}]}`

@@ -19,10 +19,7 @@ type Report struct {
 type PackageReport struct {
 	Name      string           `json:"name"`
 	Scenarios []ScenarioReport `json:"scenarios"`
-	// API holds wire-contract check results, present only when the
-	// package requests checks.
-	API  []APIResult `json:"api,omitempty"`
-	Pass bool        `json:"pass"`
+	Pass      bool             `json:"pass"`
 }
 
 // ScenarioReport is one scenario's outcome: the measured cells and the
@@ -87,15 +84,6 @@ func (r *Report) Render() string {
 					p.Name, s.Name, c.Metric, c.Technique, c.Backend,
 					c.Value, c.Min, c.Max, verdict)
 			}
-		}
-		for _, a := range p.API {
-			state := "ok"
-			if a.Skipped {
-				state = "skip"
-			} else if !a.OK {
-				state = "FAIL"
-			}
-			fmt.Fprintf(&b, "  api %s: %s (%s)\n", a.Check, state, a.Detail)
 		}
 	}
 	fmt.Fprintf(&b, "conformance: %s (%d package(s))\n", passStr(r.Pass), len(r.Packages))

@@ -4,14 +4,12 @@
 // mode) and golden metric envelopes (peak temperature, QoS violations,
 // energy within explicit tolerance bands per technique × backend) — plus a
 // runner that executes packages against any policy on any backend and
-// emits a deterministic pass/fail report, and live checks of the /v1 wire
-// contract against a serve instance. cmd/topil-validate drives it via the
-// -packages flag; `make conformance` is the regression gate. See
+// emits a deterministic pass/fail report. cmd/topil-validate drives it
+// via the -packages flag; `make conformance` is the regression gate. See
 // docs/CONFORMANCE.md.
 package conformance
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/experiments"
@@ -26,18 +24,15 @@ type cell struct {
 	run           scenario.Spec
 }
 
-// Run executes the packages' scenarios on the pipeline's run matrix and,
-// when api is non-nil, the requested wire-contract checks against the
-// configured serve instance, and reduces everything into one Report.
+// Run executes the packages' scenarios on the pipeline's run matrix and
+// reduces them into one Report.
 //
 // Determinism: cells are enumerated in manifest order, dispatched via
 // experiments.RunMatrix (ordered reduction), and every simulated metric is
 // seeded — so the report bytes are identical at any Pipeline.Workers
-// setting. With api == nil, requested API checks are reported as skipped
-// (offline run), which keeps the offline report deterministic too.
-// Cells fetch learned artifacts through Pipeline.Source on first use, so
-// governor-only packages never train a model.
-func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *APIConfig) (*Report, error) {
+// setting. Cells fetch learned artifacts through Pipeline.Source on first
+// use, so governor-only packages never train a model.
+func Run(p *experiments.Pipeline, pkgs []*Package) (*Report, error) {
 	var cells []cell
 	for pi, pkg := range pkgs {
 		for si, sc := range pkg.Manifest.Scenarios {
@@ -98,14 +93,6 @@ func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *API
 				pr.Pass = false
 			}
 			pr.Scenarios = append(pr.Scenarios, sr)
-		}
-		if len(pkg.Manifest.APIChecks) > 0 {
-			pr.API = runPackageAPI(ctx, api, pkg.Manifest.APIChecks)
-			for _, a := range pr.API {
-				if !a.OK {
-					pr.Pass = false
-				}
-			}
 		}
 		if !pr.Pass {
 			report.Pass = false
@@ -179,19 +166,4 @@ func envBackend(env Envelope) string {
 		return "*"
 	}
 	return env.Backend
-}
-
-// runPackageAPI resolves one package's requested checks. A nil config
-// (offline run) reports every requested check as skipped, keeping the
-// report deterministic without a server.
-func runPackageAPI(ctx context.Context, api *APIConfig, names []string) []APIResult {
-	if api == nil {
-		out := make([]APIResult, len(names))
-		for i, n := range names {
-			out[i] = APIResult{Check: n, OK: true, Skipped: true,
-				Detail: "offline run (no serve instance configured)"}
-		}
-		return out
-	}
-	return RunAPIChecks(ctx, *api, names)
 }

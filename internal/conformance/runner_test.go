@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -37,7 +36,6 @@ func writeTestPackage(t *testing.T, root, name string, wideBands bool) {
 					Boundary: "seed 1, 3 generated jobs, 60s, fan on"},
 			},
 		}},
-		APIChecks: []string{"healthz"},
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -60,7 +58,7 @@ func TestRunGovernorPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := experiments.NewPipeline(experiments.QuickScale())
-	rep, err := Run(context.Background(), p, pkgs, nil)
+	rep, err := Run(p, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +77,6 @@ func TestRunGovernorPackage(t *testing.T) {
 			t.Errorf("cell %s metrics implausible: %+v", c.Technique, c.Metrics)
 		}
 	}
-	// The offline run reports requested API checks as skipped, not failed.
-	if len(pr.API) != 1 || !pr.API[0].Skipped || !pr.API[0].OK {
-		t.Fatalf("offline API results = %+v", pr.API)
-	}
 }
 
 // TestRunPerturbedEnvelopeFails pins the acceptance criterion: a perturbed
@@ -95,7 +89,7 @@ func TestRunPerturbedEnvelopeFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := experiments.NewPipeline(experiments.QuickScale())
-	rep, err := Run(context.Background(), p, pkgs, nil)
+	rep, err := Run(p, pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +122,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		p := experiments.NewPipeline(experiments.QuickScale())
 		p.Workers = workers
-		rep, err := Run(context.Background(), p, pkgs, nil)
+		rep, err := Run(p, pkgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -272,6 +272,27 @@ func TestTOPILPlacePrefersFreeBigCore(t *testing.T) {
 	}
 }
 
+// TestTOPILPlaceDoesNotAllocate pins placement at 0 allocations with
+// applications running: it counts occupancy in the manager's reused view
+// buffer instead of copying each core's application list.
+func TestTOPILPlaceDoesNotAllocate(t *testing.T) {
+	mgr := New(noopBackend{}, DefaultConfig())
+	e := sim.New(sim.DefaultConfig(true, 25))
+	spec, _ := workload.ByName("adi")
+	spec.TotalInstr = 1e18
+	for i := 0; i < 3; i++ {
+		e.AddJob(workload.Job{Spec: spec, QoS: 1e8})
+	}
+	e.Run(mgr, 0.2)
+	if n := len(e.Env().Apps()); n != 3 {
+		t.Fatalf("%d apps running, want 3", n)
+	}
+	job := workload.Job{Spec: spec, QoS: 1e8}
+	if allocs := testing.AllocsPerRun(100, func() { mgr.Place(job) }); allocs != 0 {
+		t.Errorf("Place: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestTOPILMigratesTowardOptimum(t *testing.T) {
 	// adi with a 30 % target: oracle optimum is the big cluster. Start it
 	// on a LITTLE core via a plain engine (default placement = core 0)

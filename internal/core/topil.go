@@ -111,7 +111,7 @@ type TOPIL struct {
 	// running app, refilled in place each epoch so the per-tick path does
 	// not allocate (rows are only (re)made when the app count or platform
 	// shape grows). snap/views/batch are the matching reused snapshot
-	// capture and per-epoch feature aggregates.
+	// capture and per-epoch feature aggregates; Place reuses views too.
 	featBuf [][]float64
 	snap    features.Snapshot
 	views   []sim.AppView
@@ -171,32 +171,43 @@ func (t *TOPIL) Tick(now float64) {
 	}
 }
 
-// Place implements sim.Placer: new arrivals start on a fully free core,
-// preferring the big cluster (so demanding QoS targets are met immediately;
-// the next migration epoch moves the application to its optimal core).
+// Place implements sim.Placer with PlaceOnFreeCore.
 func (t *TOPIL) Place(job workload.Job) platform.CoreID {
-	plat := t.env.Platform()
-	var bestFree, bestAny platform.CoreID = -1, 0
-	bestLoad := 1 << 30
-	for _, kind := range []platform.ClusterKind{platform.Big, platform.Mid, platform.Little} {
+	var c platform.CoreID
+	c, t.views = PlaceOnFreeCore(t.env, t.views)
+	return c
+}
+
+// PlaceOnFreeCore is the arrival placement TOP-IL and TOP-RL share: a new
+// application starts on the first fully free core, walking the big, mid
+// and LITTLE clusters in that order, so demanding QoS targets are met at
+// once; the next migration epoch moves it to its optimal core. With no
+// core free it takes the first least-loaded core in the same order. The
+// per-core counts come from env.AppsInto(views), and the grown buffer is
+// returned: a caller that keeps it places without allocating.
+func PlaceOnFreeCore(env *sim.Env, views []sim.AppView) (platform.CoreID, []sim.AppView) {
+	views = env.AppsInto(views)
+	plat := env.Platform()
+	// The first least-loaded core is the first free one when any is free.
+	best, bestLoad := platform.CoreID(0), len(views)+1
+	for _, kind := range [...]platform.ClusterKind{platform.Big, platform.Mid, platform.Little} {
 		cl, _ := plat.ClusterByKind(kind)
 		if cl == nil {
 			continue
 		}
 		for _, c := range cl.Cores {
-			n := len(t.env.AppsOnCore(c))
-			if n == 0 && bestFree < 0 {
-				bestFree = c
+			n := 0
+			for i := range views {
+				if views[i].Core == c {
+					n++
+				}
 			}
 			if n < bestLoad {
-				bestLoad, bestAny = n, c
+				best, bestLoad = c, n
 			}
 		}
 	}
-	if bestFree >= 0 {
-		return bestFree
-	}
-	return bestAny
+	return best, views
 }
 
 // migrate performs one migration epoch: parallel inference with every

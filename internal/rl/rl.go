@@ -259,32 +259,11 @@ func (r *TOPRL) Attach(env *sim.Env) {
 // Stats returns the overhead accounting.
 func (r *TOPRL) Stats() core.OverheadStats { return r.stats }
 
-// Place implements sim.Placer identically to TOP-IL (free big core first).
+// Place implements sim.Placer with TOP-IL's rule, core.PlaceOnFreeCore.
 func (r *TOPRL) Place(job workload.Job) platform.CoreID {
-	plat := r.env.Platform()
-	r.views = r.env.AppsInto(r.views)
-	occupants := r.countOccupants(r.views, plat.NumCores())
-	var firstFree platform.CoreID = -1
-	bestAny, bestLoad := platform.CoreID(0), 1<<30
-	for _, kind := range []platform.ClusterKind{platform.Big, platform.Little} {
-		cl, _ := plat.ClusterByKind(kind)
-		if cl == nil {
-			continue
-		}
-		for _, c := range cl.Cores {
-			n := occupants[c]
-			if n == 0 && firstFree < 0 {
-				firstFree = c
-			}
-			if n < bestLoad {
-				bestLoad, bestAny = n, c
-			}
-		}
-	}
-	if firstFree >= 0 {
-		return firstFree
-	}
-	return bestAny
+	var c platform.CoreID
+	c, r.views = core.PlaceOnFreeCore(r.env, r.views)
+	return c
 }
 
 // Tick implements sim.Manager.

@@ -117,7 +117,7 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Registry exposes the model registry (used by conformance tests).
+// Registry exposes the model registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Handler returns the service's HTTP handler.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -25,74 +26,105 @@ import (
 var updateWire = flag.Bool("update-wire", false, "rewrite testdata/wire fixtures")
 
 // volatileKeys are response fields carrying wall-clock measurements or
-// batching coincidences. normalizeWire checks that each is a non-negative
-// number (batchSizes: a list of integers >= 1) and then zeroes it, so the
-// pinned bytes cover the deterministic contract: every other key, type
-// and value.
+// batching coincidences. normalizeWire checks each one's value and then
+// replaces it, so the pinned bytes cover the deterministic contract: every
+// other key, type and value. A number must be non-negative (load at most
+// 1, lastCycleUnix an integer) and becomes 0; batchSizes keeps its length,
+// one entry per input row, and each entry, an integer >= 1, becomes 1.
 var volatileKeys = map[string]bool{
 	"queuedMs": true, "runMs": true, "wallUs": true, "deviceLatencyUs": true,
 	"load": true, "batchSizes": true, "lastCycleUnix": true,
 }
 
-// normalizeWire zeroes every volatile field in a JSON document, keyed by
-// name at any depth, after checking its value.
-func normalizeWire(t *testing.T, body []byte) []byte {
-	t.Helper()
+// normalizeWire checks and replaces every volatile field of a JSON
+// document, keyed by name at any depth, and returns it indented.
+func normalizeWire(body []byte) ([]byte, error) {
 	var doc interface{}
 	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("normalizing non-JSON body: %v\n%s", err, body)
+		return nil, fmt.Errorf("normalizing non-JSON body: %v", err)
 	}
-	var walk func(v interface{}) interface{}
-	walk = func(v interface{}) interface{} {
-		switch x := v.(type) {
-		case map[string]interface{}:
-			for k, val := range x {
-				if !volatileKeys[k] {
-					x[k] = walk(val)
-					continue
-				}
-				if k == "batchSizes" {
-					sizes, ok := val.([]interface{})
-					if !ok {
-						t.Fatalf("volatile %s = %v, want a list\n%s", k, val, body)
-					}
-					for _, n := range sizes {
-						if f, ok := n.(float64); !ok || f < 1 || f != math.Trunc(f) {
-							t.Fatalf("volatile %s entry %v, want an integer >= 1\n%s", k, n, body)
-						}
-					}
-					x[k] = []interface{}{}
-					continue
-				}
-				if f, ok := val.(float64); !ok || f < 0 {
-					t.Fatalf("volatile %s = %v, want a non-negative number\n%s", k, val, body)
-				}
-				x[k] = 0
+	if err := normalizeValue(doc); err != nil {
+		return nil, err
+	}
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
+}
+
+// normalizeValue replaces the volatile fields below v in place.
+func normalizeValue(v interface{}) error {
+	switch x := v.(type) {
+	case map[string]interface{}:
+		for k, val := range x {
+			var err error
+			if volatileKeys[k] {
+				x[k], err = normalizeVolatile(k, val)
+			} else {
+				err = normalizeValue(val)
 			}
-			return x
-		case []interface{}:
-			for i := range x {
-				x[i] = walk(x[i])
+			if err != nil {
+				return err
 			}
-			return x
-		default:
-			return v
+		}
+	case []interface{}:
+		for _, e := range x {
+			if err := normalizeValue(e); err != nil {
+				return err
+			}
 		}
 	}
-	out, err := json.MarshalIndent(walk(doc), "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// normalizeVolatile checks one volatile field and returns its pinned form.
+func normalizeVolatile(k string, v interface{}) (interface{}, error) {
+	if k == "batchSizes" {
+		sizes, ok := v.([]interface{})
+		if !ok {
+			return nil, fmt.Errorf("volatile %s = %v, want a list", k, v)
+		}
+		ones := make([]interface{}, len(sizes))
+		for i, n := range sizes {
+			if f, ok := n.(float64); !ok || f < 1 || f != math.Trunc(f) {
+				return nil, fmt.Errorf("volatile %s entry %v, want an integer >= 1", k, n)
+			}
+			ones[i] = 1
+		}
+		return ones, nil
 	}
-	return append(out, '\n')
+	f, ok := v.(float64)
+	if !ok || f < 0 || (k == "load" && f > 1) || (k == "lastCycleUnix" && f != math.Trunc(f)) {
+		return nil, fmt.Errorf("volatile %s = %v, want a non-negative number "+
+			"(load: at most 1; lastCycleUnix: an integer)", k, v)
+	}
+	return 0, nil
+}
+
+// diffWire reports how body differs from want, the pinned bytes of a
+// fixture, once its volatile fields are normalized.
+func diffWire(body, want []byte) error {
+	got, err := normalizeWire(body)
+	if err != nil {
+		return fmt.Errorf("%v\n%s", err, body)
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("wire bytes drifted from the pinned fixture.\n--- got:\n%s--- want:\n%s", got, want)
+	}
+	return nil
 }
 
 // checkWire pins the normalized form of a response body against
 // testdata/wire/<fixture>.json.
 func checkWire(t *testing.T, fixture string, body []byte) {
 	t.Helper()
-	got := normalizeWire(t, body)
 	path := filepath.Join("testdata", "wire", fixture+".json")
 	if *updateWire {
+		got, err := normalizeWire(body)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", fixture, err, body)
+		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -105,9 +137,8 @@ func checkWire(t *testing.T, fixture string, body []byte) {
 	if err != nil {
 		t.Fatalf("missing fixture %s (run with -update-wire to create): %v", path, err)
 	}
-	if string(got) != string(want) {
-		t.Errorf("wire bytes for %s drifted from the pinned fixture.\n--- got:\n%s--- want:\n%s",
-			fixture, got, want)
+	if err := diffWire(body, want); err != nil {
+		t.Errorf("%s: %v", fixture, err)
 	}
 }
 

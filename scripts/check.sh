@@ -115,18 +115,16 @@ fi
 
 if [ "${1:-}" = "conformance" ]; then
     # Policy-result regression gate: the seed packages under
-    # testdata/packages run offline (-serve off keeps this hermetic; the
-    # live-API checks run from topil-validate's own tests and the wire
-    # fixtures in internal/serve). Artifacts are trained once into a temp
-    # cache and reused by the -j8 pass, whose report must be byte-equal
-    # to the -j1 one — the executor's determinism contract.
+    # testdata/packages. Artifacts are trained once into a temp cache and
+    # reused by the -j8 pass, whose report must be byte-equal to the -j1
+    # one — the executor's determinism contract.
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
 
     go build -o "$tmp/topil-validate" ./cmd/topil-validate
-    "$tmp/topil-validate" -packages testdata/packages -serve off \
+    "$tmp/topil-validate" -packages testdata/packages \
         -artifacts "$tmp/artifacts" -j 1 >"$tmp/report-j1.txt"
-    "$tmp/topil-validate" -packages testdata/packages -serve off \
+    "$tmp/topil-validate" -packages testdata/packages \
         -artifacts "$tmp/artifacts" -j 8 >"$tmp/report-j8.txt"
     cmp "$tmp/report-j1.txt" "$tmp/report-j8.txt" || {
         echo "conformance: -j1 and -j8 reports differ"; exit 1; }
