@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzJobEntries$$' -fuzztime=10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime=10s
 	$(GO) test ./internal/conformance -run '^$$' -fuzz '^FuzzPackageManifest$$' -fuzztime=10s
+	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzModelJSON$$' -fuzztime=10s
 
 # Policy-result regression gate: run the committed conformance packages'
 # golden metric envelopes (docs/CONFORMANCE.md) at -j1 and -j8 — the

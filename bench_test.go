@@ -7,14 +7,17 @@
 // reproduces the entire evaluation. The shared design-time pipeline
 // (oracle traces, IL model, RL pretraining) is built once outside the
 // timers. Micro-benchmarks for the core substrate (engine tick, NN
-// inference/backprop, thermal step) sit at the bottom.
+// inference/backprop, model artifact save/load, thermal step) sit at the
+// bottom.
 package repro_test
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -384,6 +387,34 @@ func BenchmarkNNTrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := nn.NewMLP(nn.PaperTopology(21, 8), 1)
 		if _, err := m.Train(train, nn.Dataset{}, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkModelSave measures writing the paper's 4×64 model artifact
+// (14,408 parameters) to a file, as a trainer or perfbench set-up does.
+func BenchmarkModelSave(b *testing.B) {
+	m := nn.NewMLP(nn.PaperTopology(21, 8), 1)
+	path := filepath.Join(b.TempDir(), "model.json")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.SaveModel(m, path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkModelLoad measures reading that artifact back, as a serving
+// replica's registry does on a model's first use.
+func BenchmarkModelLoad(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "model.json")
+	if err := core.SaveModel(nn.NewMLP(nn.PaperTopology(21, 8), 1), path); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.LoadModel(path, 21, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/scenario"
@@ -222,7 +223,7 @@ func ParseManifest(file string, data []byte) (*Manifest, []Diag) {
 		return nil, []Diag{{File: file, Line: lines.lineOf(dec.InputOffset()),
 			Msg: "manifest: trailing data after the manifest object"}}
 	}
-	offsets := manifestOffsets(data)
+	offsets, _ := manifestOffsets(data)
 	diags := validateManifest(file, &m, offsets, lines)
 	if len(diags) > 0 {
 		return nil, diags
@@ -362,6 +363,10 @@ func (ix lineIndex) lineOf(offset int64) int {
 }
 
 // decodeErrOffset extracts the byte offset of a JSON decode error, or -1.
+// DisallowUnknownFields reports an unknown key as a plain error without
+// an offset, so that key is found by name in the token stream. Best-effort:
+// a same-named key that is known where it sits, earlier in the file, is
+// found instead of the unknown one.
 func decodeErrOffset(err error, data []byte) int64 {
 	switch e := err.(type) {
 	case *json.SyntaxError:
@@ -369,16 +374,25 @@ func decodeErrOffset(err error, data []byte) int64 {
 	case *json.UnmarshalTypeError:
 		return e.Offset - 1
 	}
+	if quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		if key, err := strconv.Unquote(quoted); err == nil {
+			_, keys := manifestOffsets(data)
+			if off, ok := keys[key]; ok {
+				return off
+			}
+		}
+	}
 	return -1
 }
 
 // manifestOffsets walks the raw token stream recording the byte offset of
 // every array element under "scenarios" and "envelopes", keyed by the same
 // paths validateManifest uses ("scenarios[0]", "scenarios[0].envelopes[2]").
-// Best-effort: on any token error the partial map is returned and
-// diagnostics fall back to line 1.
-func manifestOffsets(data []byte) map[string]int64 {
-	out := map[string]int64{}
+// It also records the offset of the first object key of each name (its
+// closing quote, on the key's line). Best-effort: on any token error the
+// partial maps are returned and diagnostics fall back to line 1.
+func manifestOffsets(data []byte) (elems, keys map[string]int64) {
+	elems, keys = map[string]int64{}, map[string]int64{}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	type frame struct {
 		isObject bool
@@ -391,7 +405,7 @@ func manifestOffsets(data []byte) map[string]int64 {
 	for {
 		tok, err := dec.Token()
 		if err != nil {
-			return out
+			return elems, keys
 		}
 		// For a delimiter, InputOffset now sits just past it; the token
 		// itself starts one byte earlier.
@@ -421,7 +435,7 @@ func manifestOffsets(data []byte) map[string]int64 {
 						elem := fmt.Sprintf("%s[%d]", parent.path, parent.index)
 						parent.index++
 						if parent.path != "" {
-							out[elem] = off
+							elems[elem] = off
 						}
 						path = elem
 					}
@@ -434,6 +448,9 @@ func manifestOffsets(data []byte) map[string]int64 {
 		case string:
 			if f := top(); f != nil && f.isObject && pendingKey == "" {
 				pendingKey = t
+				if _, seen := keys[t]; !seen {
+					keys[t] = off
+				}
 				continue
 			}
 			// A string value (or array element): consume the pending key.

@@ -87,7 +87,7 @@ func TestParseManifestNegativePaths(t *testing.T) {
 			name: "v2-api-checks",
 			old:  `"schemaVersion": 3,`,
 			doc:  `"schemaVersion": 2, "apiChecks": ["healthz"],`,
-			want: []string{`manifest.json:1: manifest: json: unknown field "apiChecks"`},
+			want: []string{`manifest.json:2: manifest: json: unknown field "apiChecks"`},
 		},
 		{
 			name: "bad-package-name",
@@ -147,7 +147,7 @@ func TestParseManifestNegativePaths(t *testing.T) {
 			name: "bad-kernel",
 			old:  `"duration": 10,`,
 			doc:  `"duration": 10, "thermalKernel": "float32",`,
-			want: []string{`manifest.json:1: manifest: json: unknown field "thermalKernel"`},
+			want: []string{`manifest.json:8: manifest: json: unknown field "thermalKernel"`},
 		},
 		{
 			name: "bad-ambient",
@@ -283,6 +283,22 @@ func TestDiagnosticLines(t *testing.T) {
 		if !strings.HasPrefix(d.Error(), want+":") {
 			t.Errorf("diagnostic %q should be anchored at %s", d.Error(), want)
 		}
+	}
+}
+
+// TestUnknownFieldLine pins the anchoring of a strict-decode error, which
+// carries no offset: the named key is found by a token scan that skips
+// string values and array elements of the same text and reads escapes.
+func TestUnknownFieldLine(t *testing.T) {
+	doc := "{\n" + // line 1
+		`  "description": "bogus",` + "\n" + // 2
+		`  "name": "demo", "scenarios": [` + "\n" + // 3
+		`    {"techniques": ["bogus"],` + "\n" + // 4
+		`     "bog\u0075s": 1}]}` // 5
+	_, diags := ParseManifest("manifest.json", []byte(doc))
+	want := `manifest.json:5: manifest: json: unknown field "bogus"`
+	if len(diags) != 1 || diags[0].Error() != want {
+		t.Fatalf("diags = %v, want %s", diagList(diags), want)
 	}
 }
 

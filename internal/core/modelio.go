@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -9,9 +8,10 @@ import (
 )
 
 // SaveModel writes a trained IL model to a JSON file — the deployment
-// artifact the paper converts for the HiAI DDK.
+// artifact the paper converts for the HiAI DDK. MarshalJSON's output is
+// already the compact form json.Marshal would write, so it is written as is.
 func SaveModel(m *nn.MLP, path string) error {
-	data, err := json.Marshal(m)
+	data, err := m.MarshalJSON()
 	if err != nil {
 		return fmt.Errorf("core: encoding model: %w", err)
 	}
@@ -20,13 +20,15 @@ func SaveModel(m *nn.MLP, path string) error {
 
 // LoadModel reads a model written by SaveModel and validates its shape
 // against the expected input/output dimensions (pass 0 to skip a check).
+// UnmarshalJSON checks the whole input itself, so json.Unmarshal's separate
+// validating scan of the file is skipped.
 func LoadModel(path string, wantIn, wantOut int) (*nn.MLP, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var m nn.MLP
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := m.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("core: parsing %s: %w", path, err)
 	}
 	if wantIn > 0 && m.InputDim() != wantIn {

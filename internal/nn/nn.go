@@ -14,7 +14,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -186,41 +185,4 @@ func (m *MLP) CopyFrom(src *MLP) {
 		copy(m.weights[l], src.weights[l])
 		copy(m.biases[l], src.biases[l])
 	}
-}
-
-// mlpJSON is the serialization schema.
-type mlpJSON struct {
-	Sizes   []int       `json:"sizes"`
-	Weights [][]float64 `json:"weights"`
-	Biases  [][]float64 `json:"biases"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (m *MLP) MarshalJSON() ([]byte, error) {
-	return json.Marshal(mlpJSON{Sizes: m.sizes, Weights: m.weights, Biases: m.biases})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *MLP) UnmarshalJSON(data []byte) error {
-	var j mlpJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if len(j.Sizes) < 2 || len(j.Weights) != len(j.Sizes)-1 || len(j.Biases) != len(j.Sizes)-1 {
-		return fmt.Errorf("nn: malformed model JSON")
-	}
-	for l, s := range j.Sizes {
-		if s <= 0 {
-			return fmt.Errorf("nn: layer %d has non-positive width %d", l, s)
-		}
-	}
-	for l := 0; l+1 < len(j.Sizes); l++ {
-		if len(j.Weights[l]) != j.Sizes[l]*j.Sizes[l+1] || len(j.Biases[l]) != j.Sizes[l+1] {
-			return fmt.Errorf("nn: layer %d shape mismatch", l)
-		}
-	}
-	m.sizes = j.Sizes
-	m.weights = j.Weights
-	m.biases = j.Biases
-	return nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -228,6 +229,14 @@ func TestJSONRoundTrip(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("output %d differs after round trip", i)
 		}
+	}
+	// The artifact takes the one-pass decoder, and re-encodes to itself.
+	if _, ok := decodeCanonical(string(data)); !ok {
+		t.Fatal("encoded model is not on the one-pass decode path")
+	}
+	again, err := back.MarshalJSON()
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding changed the bytes (err %v)", err)
 	}
 }
 
